@@ -1,5 +1,6 @@
-//! Suite throughput: legacy one-simulation-per-policy replay vs the
-//! single-pass multi-policy engine, on a fixed 7-policy mini-suite.
+//! Suite throughput: one `Simulator::run` per policy (the reference
+//! path) vs the single-pass multi-policy engine, on a fixed 7-policy
+//! mini-suite.
 //!
 //! This is the benchmark behind the engine's headline claim (see
 //! `DESIGN.md` §9): the policy-independent front end — fetch-group
@@ -11,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fe_frontend::engine::{run_lanes, SliceReplay};
-use fe_frontend::{experiment, policy::PolicyKind, simulator::SimConfig};
+use fe_frontend::{experiment, policy::PolicyKind, simulator::SimConfig, Simulator};
 use fe_trace::synth::{suite, WorkloadSpec};
 
 /// The 7-policy headline set (the paper's five plus the extension
@@ -43,24 +44,29 @@ fn suite_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(total_instructions));
     group.sample_size(10);
 
-    // Legacy: one full front-end replay per policy (7 replays/workload).
+    // Reference: generate each workload, then one full front-end replay
+    // per policy (7 replays/workload).
     group.bench_function(BenchmarkId::new("legacy", "7-policy"), |b| {
         b.iter(|| {
             specs
                 .iter()
-                .map(|s| experiment::run_trace_legacy(s, &cfg, SEVEN))
+                .map(|s| {
+                    let trace = s.generate();
+                    SEVEN
+                        .iter()
+                        .map(|&p| {
+                            Simulator::new(cfg.with_policy(p))
+                                .run(&trace.records, trace.instructions)
+                        })
+                        .collect::<Vec<_>>()
+                })
                 .collect::<Vec<_>>()
         });
     });
 
     // Engine: one streaming replay per workload drives all 7 lanes.
     group.bench_function(BenchmarkId::new("engine", "7-policy"), |b| {
-        b.iter(|| {
-            specs
-                .iter()
-                .map(|s| experiment::run_trace(s, &cfg, SEVEN))
-                .collect::<Vec<_>>()
-        });
+        b.iter(|| experiment::run_suite(&specs, &cfg, SEVEN, 1));
     });
 
     // Engine over pre-materialized traces: isolates the single-pass win

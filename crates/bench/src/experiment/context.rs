@@ -164,8 +164,7 @@ fn parse_sampled(spec: &str) -> Result<SampleParams, UsageError> {
 ///
 /// Words starting with `--` must be recognized flags; everything else is
 /// collected as a positional word for the caller (the `report` driver
-/// reads subcommands and experiment names from there, the thin binaries
-/// reject positionals outright).
+/// reads subcommands and experiment names from there).
 ///
 /// # Errors
 ///

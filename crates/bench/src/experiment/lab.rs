@@ -1666,8 +1666,15 @@ impl Experiment for SuiteBench {
         );
 
         let sweep_t = time_min(reps, || {
-            let r =
-                sweep::run_sweep_from(&specs, &cfg, PolicyKind::PAPER_SET, &geoms, threads, source);
+            let r = run_sweep_with(
+                &specs,
+                &cfg,
+                PolicyKind::PAPER_SET,
+                &geoms,
+                threads,
+                source,
+                false,
+            );
             (r.scheduler.clone(), r)
         });
         let _ = writeln!(

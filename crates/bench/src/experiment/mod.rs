@@ -16,8 +16,8 @@
 //! declared [`shape::ShapeAssertion`]s; `report diff <old> <new>`
 //! compares two manifests and fails on shape regressions ([`diff`]).
 //!
-//! The old per-figure binaries survive as thin dispatches into
-//! [`run_bin`], with byte-identical stdout on the default suite.
+//! `report` is the one front door: `report run <name>` runs any
+//! registered experiment.
 
 #![forbid(unsafe_code)]
 
@@ -47,7 +47,7 @@ use std::process::ExitCode;
 
 /// One registered experiment: a figure, table, ablation, or lab notebook.
 pub trait Experiment {
-    /// Registry name (matches the legacy binary name).
+    /// Registry name (`report run <name>`).
     fn name(&self) -> &'static str;
     /// Paper anchor (`"Fig. 7"`, `"Table I"`, `"lab"`, …).
     fn paper_ref(&self) -> &'static str;
@@ -72,7 +72,7 @@ pub struct RenderCtx<'a> {
 /// What one experiment produced.
 #[derive(Debug, Default)]
 pub struct ExperimentOutput {
-    /// Exactly what the legacy binary printed (byte-identical contract).
+    /// The experiment's human-readable output, printed to stdout.
     pub stdout: String,
     /// Legacy artifacts as `(file name, contents)`, written to the out
     /// directory with the historical `[wrote …]` stdout line.
@@ -271,41 +271,6 @@ pub fn list_text() -> String {
         );
     }
     out
-}
-
-/// Entry point for the thin legacy binaries: run one experiment with the
-/// process's command-line flags.
-pub fn run_bin(name: &str) -> ExitCode {
-    run_bin_with(name, std::env::args().skip(1).collect())
-}
-
-/// [`run_bin`] with explicit arguments (used by binaries that translate
-/// legacy positional arguments first).
-pub fn run_bin_with(name: &str, args: Vec<String>) -> ExitCode {
-    let parsed = match parse_args(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            eprintln!("usage: {name} {USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    if parsed.help {
-        eprintln!("usage: {name} {USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    if let Some(word) = parsed.positionals.first() {
-        eprintln!("{name}: unexpected argument `{word}`");
-        eprintln!("usage: {name} {USAGE}");
-        return ExitCode::from(2);
-    }
-    match run_experiments(&[name.to_owned()], &parsed) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("{name}: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// Entry point for the `report` driver binary.

@@ -17,9 +17,9 @@
 
 #![forbid(unsafe_code)]
 
-use fe_frontend::experiment::{run_suite, run_suite_from, SuiteResult, SuiteSource};
-use fe_frontend::sampled::{run_suite_sampled, run_sweep_sampled};
-use fe_frontend::sweep::{run_sweep, run_sweep_from, SweepResult};
+use fe_frontend::engine::RunSpec;
+use fe_frontend::experiment::{SuiteResult, SuiteSource};
+use fe_frontend::sweep::{sweep_icaches, SweepResult};
 use fe_trace::corpus::{Corpus, CorpusBuilder, CorpusCache, EnsureStats, SuiteCorpus};
 use fe_trace::synth::WorkloadSpec;
 use std::collections::BTreeMap;
@@ -63,7 +63,7 @@ impl SimStore {
     /// Plan `requests` and run each unique simulation once, with
     /// `threads` worker threads per simulation.
     pub fn plan_and_run(requests: &[SimRequest], threads: usize) -> SimStore {
-        SimStore::plan_and_run_with(requests, |req| execute(req, threads))
+        SimStore::plan_and_run_with(requests, |req| execute(req, threads, None))
     }
 
     /// [`SimStore::plan_and_run`] replaying every simulation from the
@@ -81,7 +81,19 @@ impl SimStore {
     ) -> SimStore {
         let mut stats = EnsureStats::default();
         let mut store = SimStore::plan_and_run_with(requests, |req| {
-            execute_cached(req, threads, cache, &mut stats)
+            match cache.ensure_suite(&req.suite.specs()) {
+                Ok((corpus, ensured)) => {
+                    stats.absorb(ensured);
+                    execute(req, threads, Some(&corpus))
+                }
+                Err(e) => {
+                    eprintln!(
+                        "report: corpus cache {} unavailable ({e}); streaming this run",
+                        cache.dir().display()
+                    );
+                    execute(req, threads, None)
+                }
+            }
         });
         store.workloads_generated = stats.generated;
         store.workloads_reused = stats.reused;
@@ -191,27 +203,43 @@ impl SimStore {
     }
 }
 
-/// Run one request for real.
-fn execute(req: &SimRequest, threads: usize) -> SimOutcome {
+/// Run one request for real, replaying from `corpus` when given.
+///
+/// Sampled replay needs signature sidecars, which live in the corpus
+/// encoding; without a corpus a sampled request builds one in memory,
+/// and a full one streams from the synthetic walkers.
+fn execute(req: &SimRequest, threads: usize, corpus: Option<&SuiteCorpus>) -> SimOutcome {
     let specs = req.suite.specs();
-    if let Some(params) = req.effective_sampled() {
-        // Sampled replay needs signature sidecars, which live in the
-        // corpus encoding; build an in-memory corpus when no on-disk
-        // cache is available.
-        let corpus = encode_in_memory(&specs);
-        return execute_sampled(req, &specs, threads, &corpus, &params);
-    }
-    match &req.shape {
-        SimShape::Suite => {
-            SimOutcome::Suite(run_suite(&specs, &req.config, &req.policies, threads))
+    let sampling = req.effective_sampled();
+    let in_memory;
+    let source = match corpus {
+        Some(corpus) => SuiteSource::Corpus(corpus),
+        None if sampling.is_some() => {
+            in_memory = encode_in_memory(&specs);
+            SuiteSource::Corpus(&in_memory)
         }
-        SimShape::Sweep(geoms) => SimOutcome::Sweep(run_sweep(
-            &specs,
-            &req.config,
-            &req.policies,
-            geoms,
-            threads,
-        )),
+        None => SuiteSource::Streamed,
+    };
+    let geometries = match &req.shape {
+        SimShape::Suite => vec![req.config.icache],
+        SimShape::Sweep(geoms) => sweep_icaches(&req.config, geoms),
+    };
+    let grid = RunSpec {
+        specs: &specs,
+        base: &req.config,
+        source,
+        geometries: &geometries,
+        policies: &req.policies,
+        // Figure 7 sweeps consume I-cache means only.
+        measure_btb: req.shape == SimShape::Suite,
+        sampling,
+    }
+    .run(threads);
+    match &req.shape {
+        SimShape::Suite => SimOutcome::Suite(SuiteResult::from_grid(&specs, &req.policies, grid)),
+        SimShape::Sweep(geoms) => {
+            SimOutcome::Sweep(SweepResult::from_grid(geoms, &req.policies, grid))
+        }
     }
 }
 
@@ -230,82 +258,6 @@ fn encode_in_memory(specs: &[WorkloadSpec]) -> SuiteCorpus {
     }
     let corpus = Corpus::from_bytes(b.finish()).expect("fresh corpus parses");
     SuiteCorpus::from_corpus(&corpus)
-}
-
-/// Run one sampled request against an already-materialized corpus.
-fn execute_sampled(
-    req: &SimRequest,
-    specs: &[WorkloadSpec],
-    threads: usize,
-    corpus: &SuiteCorpus,
-    params: &fe_frontend::sampled::SampleParams,
-) -> SimOutcome {
-    match &req.shape {
-        SimShape::Suite => SimOutcome::Suite(run_suite_sampled(
-            specs,
-            &req.config,
-            &req.policies,
-            threads,
-            corpus,
-            params,
-        )),
-        SimShape::Sweep(geoms) => {
-            let (sweep, _info) = run_sweep_sampled(
-                specs,
-                &req.config,
-                &req.policies,
-                geoms,
-                threads,
-                corpus,
-                params,
-                false,
-            );
-            SimOutcome::Sweep(sweep)
-        }
-    }
-}
-
-/// Run one request from the corpus cache, falling back to streamed
-/// replay (with a stderr note) if the cache cannot be materialized.
-fn execute_cached(
-    req: &SimRequest,
-    threads: usize,
-    cache: &CorpusCache,
-    stats: &mut EnsureStats,
-) -> SimOutcome {
-    let specs = req.suite.specs();
-    let (corpus, ensured) = match cache.ensure_suite(&specs) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!(
-                "report: corpus cache {} unavailable ({e}); streaming this run",
-                cache.dir().display()
-            );
-            return execute(req, threads);
-        }
-    };
-    stats.absorb(ensured);
-    if let Some(params) = req.effective_sampled() {
-        return execute_sampled(req, &specs, threads, &corpus, &params);
-    }
-    let source = SuiteSource::Corpus(&corpus);
-    match &req.shape {
-        SimShape::Suite => SimOutcome::Suite(run_suite_from(
-            &specs,
-            &req.config,
-            &req.policies,
-            threads,
-            source,
-        )),
-        SimShape::Sweep(geoms) => SimOutcome::Sweep(run_sweep_from(
-            &specs,
-            &req.config,
-            &req.policies,
-            geoms,
-            threads,
-            source,
-        )),
-    }
 }
 
 #[cfg(test)]
@@ -389,7 +341,12 @@ mod tests {
         let store = SimStore::plan_and_run(&[large, small.clone()], 2);
         assert_eq!(store.executions, 1);
         let sliced = store.suite(&small);
-        let direct = run_suite(&small.suite.specs(), &small.config, &small.policies, 2);
+        let direct = fe_frontend::experiment::run_suite(
+            &small.suite.specs(),
+            &small.config,
+            &small.policies,
+            2,
+        );
         assert_eq!(sliced, direct);
     }
 

@@ -36,7 +36,7 @@ impl Kind {
 /// Registry row: name, category, one-line summary.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentInfo {
-    /// Registry name (equals the legacy binary name).
+    /// Registry name (`report run <name>`).
     pub name: &'static str,
     /// Category.
     pub kind: Kind,

@@ -30,7 +30,7 @@
 //! replays trace after trace keeps its learned winner, which is the
 //! whole production-adaptivity point. Engine lane arenas that need
 //! bit-identical cold starts call [`DuelSelect::cold_restart`] instead
-//! (see `fe-frontend`'s `EngineArena`).
+//! (see `fe-frontend`'s engine lane arena).
 //!
 //! With a single candidate the meta-policy is provably transparent:
 //! every decision comes from candidate 0 regardless of the tallies, so

@@ -1,9 +1,9 @@
-//! The single-pass multi-policy simulation engine.
+//! The simulation engine: one replay loop and one run driver.
 //!
 //! The paper's methodology (§IV) evaluates every replacement policy on the
 //! same trace stream. The policy-independent work — fetch-group decode,
 //! the hashed-perceptron direction predictor, the return-address stack and
-//! the indirect target cache — dominates a run, yet the legacy path
+//! the indirect target cache — dominates a run, yet the reference path
 //! ([`crate::simulator::Simulator::run`]) repeats all of it once per
 //! policy. This engine replays a trace **once**, decoding the fetch stream
 //! and driving the shared predictors a single time, and broadcasts every
@@ -15,23 +15,35 @@
 //! triggers wrong-path injection is policy-independent — the shared
 //! predictors never read cache state — so each lane observes the same
 //! event sequence, in the same order, as a standalone simulation, and its
-//! counters stay **bit-identical** to the legacy per-policy path (proved
+//! counters stay **bit-identical** to the per-policy reference (proved
 //! by the `engine_equivalence` property suite).
 //!
+//! One loop replays a list of [`Segment`]s: a full run is a single
+//! segment over the whole trace (warm-up on the first half, capped), a
+//! phase-sampled run is its plan's segments. One driver,
+//! [`RunSpec::run`], schedules every suite, sweep and sampled run over
+//! that loop and folds each lane's segments into a [`RunGrid`]; suite
+//! rows and sweep points are reshapes of that grid.
+//!
 //! Traces enter through [`ReplaySource`], which abstracts over a
-//! materialized record slice ([`SliceReplay`]) and a streaming replay of a
-//! synthetic workload ([`fe_trace::synth::StreamedTrace`]). The streaming
-//! path never materializes a `Vec<BranchRecord>`, so paper-scale traces
-//! (100 M+ instructions, §IV.C) cost walker state instead of gigabytes.
+//! materialized record slice ([`SliceReplay`]), a streaming replay of a
+//! synthetic workload ([`fe_trace::synth::StreamedTrace`]) and a corpus
+//! trace. The streaming path never materializes a `Vec<BranchRecord>`, so
+//! paper-scale traces (100 M+ instructions, §IV.C) cost walker state
+//! instead of gigabytes.
 
 #![forbid(unsafe_code)]
 
+use crate::experiment::SuiteSource;
 use crate::policy::{build_pair, FrontendPair, PolicyKind};
+use crate::sampled::{build_plan, SampleParams, SamplePlan, SampledInfo};
+use crate::schedule::{self, SchedulerStats};
 use crate::simulator::{offline_sequences, RunResult, SimConfig};
 use fe_branch::{HashedPerceptron, PredictorStats, ReturnAddressStack, TargetCache};
+use fe_cache::CacheConfig;
 use fe_trace::fetch::{FetchChunk, FetchStream};
 use fe_trace::record::{BranchKind, BranchRecord};
-use fe_trace::synth::{StreamedTrace, SyntheticTrace, Walker};
+use fe_trace::synth::{StreamedTrace, SyntheticTrace, Walker, WorkloadSpec};
 
 /// A trace that can be replayed from the start any number of times.
 ///
@@ -188,6 +200,7 @@ impl SharedFrontEnd {
 }
 
 /// One policy lane: the complete per-policy state of a standalone run.
+#[derive(Debug)]
 struct Lane {
     policy: PolicyKind,
     pair: FrontendPair,
@@ -313,52 +326,84 @@ impl Lane {
     }
 }
 
+/// One lane of a run's grid: an I-cache geometry under one policy.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct LaneSpec {
+    icache: CacheConfig,
+    policy: PolicyKind,
+}
+
 /// The configuration a set of arena lanes was built for.
 #[derive(Debug, Clone, PartialEq)]
 struct ArenaKey {
     base: SimConfig,
-    icaches: Vec<fe_cache::CacheConfig>,
-    policies: Vec<PolicyKind>,
+    lanes: Vec<LaneSpec>,
 }
 
-/// Reusable per-worker lane storage.
-///
-/// Building a lane allocates its I-cache arrays, BTB tables and (for the
-/// predictive policies) predictor tables. A scheduler worker runs many
-/// tasks with the identical configuration back to back, so the arena
-/// keeps the lanes of the previous task and, when the configuration
-/// matches, resets them **in place** — same post-construction state,
-/// zero allocation — instead of rebuilding. A configuration change (or an
-/// offline policy, whose state is derived from the concrete trace)
-/// rebuilds from scratch.
+/// Reusable per-worker lane storage: a worker's consecutive tasks usually
+/// share a configuration, so the arena keeps the previous task's lanes
+/// and resets them **in place** (same post-construction state, zero
+/// allocation) when the key matches, rebuilding only on a change or for
+/// offline lanes, whose state is derived from the concrete trace.
 #[derive(Debug, Default)]
-pub struct EngineArena {
+struct EngineArena {
     key: Option<ArenaKey>,
     lanes: Vec<Lane>,
 }
 
 impl EngineArena {
-    /// An empty arena; the first task always builds its lanes.
-    pub fn new() -> EngineArena {
-        EngineArena::default()
-    }
-
-    /// Whether the arena currently holds reusable lanes.
-    pub fn is_primed(&self) -> bool {
-        self.key.is_some()
+    /// Ready fresh lanes for `lanes` under `base`: reset the held lanes
+    /// in place when they were built for the same key, else rebuild.
+    /// `offline` carries the precomputed access sequences of offline
+    /// lanes, whose trace-derived state is never reused.
+    fn prepare(
+        &mut self,
+        base: &SimConfig,
+        lanes: &[LaneSpec],
+        offline: Option<&(Vec<u64>, Vec<u64>)>,
+    ) {
+        let reusable = offline.is_none()
+            && self
+                .key
+                .as_ref()
+                .is_some_and(|k| k.base == *base && k.lanes == lanes);
+        if reusable {
+            for lane in &mut self.lanes {
+                lane.reset_for_reuse();
+            }
+            return;
+        }
+        self.lanes.clear();
+        for spec in lanes {
+            let seq = offline.filter(|_| spec.policy.is_offline());
+            // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
+            let pair = build_pair(
+                spec.policy,
+                spec.icache,
+                base.btb_entries,
+                base.btb_ways,
+                base.ghrp,
+                base.sdbp,
+                base.seed,
+                seq.map(|(blocks, _)| blocks.as_slice()),
+                seq.map(|(_, pcs)| pcs.as_slice()),
+            );
+            self.lanes.push(Lane {
+                policy: spec.policy,
+                pair,
+                wrong_path_misses: 0,
+                wrong_path_accesses: 0,
+                groups: 0,
+            });
+        }
+        self.key = offline.is_none().then(|| ArenaKey {
+            base: *base,
+            lanes: lanes.to_vec(),
+        });
     }
 }
 
-impl std::fmt::Debug for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Lane")
-            .field("policy", &self.policy)
-            .field("groups", &self.groups)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Simulate every policy in `policies` over one replay of `source`,
+/// Simulate every policy in `policies` over one full replay of `source`,
 /// returning one [`RunResult`] per policy (in input order).
 ///
 /// The shared pass decodes the fetch stream and drives the direction
@@ -376,209 +421,123 @@ pub fn run_lanes<S: ReplaySource>(
     policies: &[PolicyKind],
     source: &S,
 ) -> Vec<RunResult> {
-    let mut arena = EngineArena::new();
-    run_lanes_multi(
+    let lanes = lane_grid(std::slice::from_ref(&base.icache), policies);
+    let full = [Segment::full(source.total_instructions(), base.warmup_cap)];
+    // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
+    replay_segments(
         base,
-        std::slice::from_ref(&base.icache),
-        policies,
+        &lanes,
         true,
-        source,
-        &mut arena,
+        &full,
+        |_| source.replay(),
+        &mut EngineArena::default(),
     )
-    .pop()
-    .unwrap_or_default()
 }
 
-/// Geometry-fused variant of [`run_lanes`]: one replay of `source` drives
-/// an independent lane grid of `icaches.len() × policies.len()` lanes,
-/// returning results geometry-major (`out[g][p]`).
+/// One replayed stretch of a trace: the record range, how much of its
+/// prefix is warm-up (measurement off), and the weight its measured
+/// metrics carry in the run's result.
 ///
-/// Every geometry must share `base.icache`'s block size — the fetch
-/// stream is chunked once at that granularity. Within that constraint the
-/// *entire* policy-independent front end (decode, direction predictor,
-/// RAS, indirect target cache) is shared across all geometries, so an
-/// 8-geometry sweep costs one trace replay instead of eight. Each lane's
-/// counters stay bit-identical to a standalone run of its
-/// (geometry, policy) pair.
-///
-/// `measure_btb = false` skips the per-lane BTB entirely (its stats come
-/// back zero); the GHRP BTB policy only reads the shared predictor, so
-/// I-cache results are unaffected. Use it for sweeps, which consume only
-/// I-cache means.
-///
-/// `arena` carries lane allocations across calls on the same worker; pass
-/// a fresh [`EngineArena`] when no reuse is wanted.
-///
-/// # Panics
-///
-/// Panics if a geometry's block size differs from `base.icache`'s, or if
-/// the BTB geometry in `base` is invalid.
-pub fn run_lanes_multi<S: ReplaySource>(
-    base: &SimConfig,
-    icaches: &[fe_cache::CacheConfig],
-    policies: &[PolicyKind],
-    measure_btb: bool,
-    source: &S,
-    arena: &mut EngineArena,
-) -> Vec<Vec<RunResult>> {
-    let block_bytes = base.icache.block_bytes();
-    assert!(
-        icaches.iter().all(|c| c.block_bytes() == block_bytes),
-        "fused geometries must share the base block size"
-    );
-    let npols = policies.len();
-    if npols == 0 || icaches.is_empty() {
-        return icaches.iter().map(|_| Vec::new()).collect();
-    }
-
-    let reusable = !policies.iter().any(|p| p.is_offline());
-    let key_matches = reusable
-        && arena
-            .key
-            .as_ref()
-            .is_some_and(|k| k.base == *base && k.icaches == icaches && k.policies == policies);
-    if key_matches {
-        for lane in &mut arena.lanes {
-            lane.reset_for_reuse();
-        }
-    } else {
-        rebuild_arena(arena, base, icaches, policies, reusable, source);
-    }
-    let lanes = &mut arena.lanes;
-
-    let mut fe = SharedFrontEnd::default();
-    let warmup = (source.total_instructions() / 2).min(base.warmup_cap);
-    let mut warmed = warmup == 0;
-    let mut instructions = 0u64;
-    let mut measured_instructions = 0u64;
-
-    for chunk in FetchStream::new(source.replay(), block_bytes) {
-        instructions += u64::from(chunk.n_instr);
-        if warmed {
-            measured_instructions += u64::from(chunk.n_instr);
-        }
-        if chunk.starts_group {
-            for lane in lanes.iter_mut() {
-                lane.access_group(&chunk, base);
-            }
-        }
-        if let Some(branch) = chunk.branch {
-            let mispredicted = fe.observe(&branch);
-            for lane in lanes.iter_mut() {
-                lane.observe_branch(&branch, mispredicted, base, measure_btb);
-            }
-        }
-        if !warmed && instructions >= warmup {
-            warmed = true;
-            fe.reset_stats();
-            for lane in lanes.iter_mut() {
-                lane.reset_stats();
-            }
-        }
-    }
-
-    // Every lane consumed the identical event stream.
-    debug_assert!(
-        lanes.windows(2).all(|w| w[0].groups == w[1].groups),
-        "policy lanes diverged: fetch-group counts {:?}",
-        lanes.iter().map(|l| l.groups).collect::<Vec<_>>()
-    );
-
-    (0..icaches.len())
-        .map(|g| {
-            lanes[g * npols..(g + 1) * npols]
-                .iter()
-                .map(|lane| lane.finish(measured_instructions, &fe))
-                .collect()
-        })
-        .collect()
-}
-
-/// One replayed slice of a phase-sampled run: the record range to
-/// replay, how much of its prefix is functional warming (measurement
-/// off), and the cluster weight its measured metrics carry in the
-/// combined estimate.
-///
-/// Segments are produced by [`crate::sampled::SamplePlan`] in ascending
-/// trace order; [`run_lanes_sampled`] replays them back to back over one
-/// persistent front end and lane grid.
+/// A full run is one segment over the whole trace, warming on its first
+/// half (capped, §IV.C) with weight 1; a phase-sampled run replays the
+/// segments of its [`crate::sampled::SamplePlan`], in ascending trace
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampledSegment {
+pub struct Segment {
     /// First record of the segment (inclusive).
     pub rec_lo: u64,
     /// One past the last record of the segment.
     pub rec_hi: u64,
     /// Instructions at the segment start replayed with measurement off
-    /// (functional warming of caches, BTB and predictors).
+    /// (warming of caches, BTB and predictors).
     pub warmup_instructions: u64,
-    /// Cluster weight of the measured interval (fractions sum to 1).
+    /// Weight of the measured interval (a run's weights sum to 1).
     pub weight: f64,
 }
 
-/// Phase-sampled variant of [`run_lanes_multi`]: replay only the given
-/// `segments` of `trace`, returning per-segment results
-/// (`out[s][g][p]`, segment-major then geometry-major).
+impl Segment {
+    /// The whole trace of `total_instructions`, warming on its first
+    /// half capped at `warmup_cap` (§IV.C), with weight 1.
+    fn full(total_instructions: u64, warmup_cap: u64) -> Segment {
+        Segment {
+            rec_lo: 0,
+            rec_hi: u64::MAX,
+            warmup_instructions: (total_instructions / 2).min(warmup_cap),
+            weight: 1.0,
+        }
+    }
+}
+
+/// The lane grid of `geometries × policies`, geometry-major.
+fn lane_grid(geometries: &[CacheConfig], policies: &[PolicyKind]) -> Vec<LaneSpec> {
+    geometries
+        .iter()
+        .flat_map(|&icache| {
+            policies
+                .iter()
+                .map(move |&policy| LaneSpec { icache, policy })
+        })
+        .collect()
+}
+
+/// The replay loop: drive `lanes` through `segments` in order over one
+/// persistent front end and lane grid, returning every segment's
+/// per-lane results, segment-major (`out[s * lanes.len() + l]`).
 ///
-/// Cache, BTB and predictor **state** persists across segments (the
-/// previous segment is the best available approximation of the skipped
-/// gap); **counters** reset at each segment's warmup boundary, so each
-/// segment's [`RunResult`] covers exactly its measured interval. A
-/// segment with `warmup_instructions == 0` resets counters before its
-/// first record.
+/// `records(seg)` opens the record stream of one segment. Cache, BTB and
+/// predictor **state** persists across segments (the previous segment is
+/// the best available approximation of a skipped gap); **counters**
+/// reset at each segment's warm-up boundary, so each segment's results
+/// cover exactly its measured interval. A segment without warm-up resets
+/// counters before its first record.
 ///
-/// Offline (OPT) policies are not supported: their precompute is defined
-/// over a full replay, which sampling never performs.
+/// Every lane shares `base.icache`'s block size: the fetch stream is
+/// chunked once at that granularity. `measure_btb = false` skips the
+/// per-lane BTB entirely (its stats come back zero); the GHRP BTB policy
+/// only reads the shared predictor, so I-cache results are unaffected.
 ///
 /// # Panics
 ///
-/// Panics if `policies` contains an offline policy, or if a geometry's
-/// block size differs from `base.icache`'s.
-pub fn run_lanes_sampled(
+/// Panics if an offline (OPT) lane meets anything but one full segment —
+/// its precompute is defined over a full replay — or if the BTB geometry
+/// in `base` is invalid.
+fn replay_segments<I, F>(
     base: &SimConfig,
-    icaches: &[fe_cache::CacheConfig],
-    policies: &[PolicyKind],
+    lanes: &[LaneSpec],
     measure_btb: bool,
-    trace: &fe_trace::corpus::CorpusTrace,
-    segments: &[SampledSegment],
+    segments: &[Segment],
+    mut records: F,
     arena: &mut EngineArena,
-) -> Vec<Vec<Vec<RunResult>>> {
+) -> Vec<RunResult>
+where
+    F: FnMut(&Segment) -> I,
+    I: Iterator<Item = BranchRecord>,
+{
+    if lanes.is_empty() {
+        return Vec::new();
+    }
     let block_bytes = base.icache.block_bytes();
-    assert!(
-        icaches.iter().all(|c| c.block_bytes() == block_bytes),
-        "fused geometries must share the base block size"
-    );
-    assert!(
-        !policies.iter().any(|p| p.is_offline()),
-        "offline policies cannot be phase-sampled"
-    );
-    let npols = policies.len();
-    if npols == 0 || icaches.is_empty() {
-        return segments
-            .iter()
-            .map(|_| icaches.iter().map(|_| Vec::new()).collect())
-            .collect();
-    }
-
-    let key_matches = arena
-        .key
-        .as_ref()
-        .is_some_and(|k| k.base == *base && k.icaches == icaches && k.policies == policies);
-    if key_matches {
-        for lane in &mut arena.lanes {
-            lane.reset_for_reuse();
-        }
-    } else {
-        rebuild_arena(arena, base, icaches, policies, true, trace);
-    }
+    // Offline (OPT) lanes need the full access sequences ahead of time:
+    // precompute them once per trace and share them across all offline
+    // lanes (the block sequence is geometry-independent).
+    let offline = lanes.iter().any(|l| l.policy.is_offline()).then(|| {
+        assert!(
+            matches!(segments, [s] if s.rec_lo == 0 && s.rec_hi == u64::MAX),
+            "offline policies cannot be phase-sampled"
+        );
+        offline_sequences(records(&segments[0]), block_bytes)
+    });
+    // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
+    arena.prepare(base, lanes, offline.as_ref());
     let lanes = &mut arena.lanes;
 
     let mut fe = SharedFrontEnd::default();
-    let mut out = Vec::with_capacity(segments.len());
+    let mut out = Vec::with_capacity(segments.len() * lanes.len());
     for seg in segments {
         let warmup = seg.warmup_instructions;
         let mut warmed = warmup == 0;
         if warmed {
-            // No warmup prefix: counters carried over from the previous
+            // No warm-up prefix: counters carried over from the previous
             // segment must still be cleared at the measurement start.
             fe.reset_stats();
             for lane in lanes.iter_mut() {
@@ -587,7 +546,7 @@ pub fn run_lanes_sampled(
         }
         let mut instructions = 0u64;
         let mut measured_instructions = 0u64;
-        for chunk in FetchStream::new(trace.cursor_range(seg.rec_lo, seg.rec_hi), block_bytes) {
+        for chunk in FetchStream::new(records(seg), block_bytes) {
             instructions += u64::from(chunk.n_instr);
             if warmed {
                 measured_instructions += u64::from(chunk.n_instr);
@@ -611,73 +570,229 @@ pub fn run_lanes_sampled(
                 }
             }
         }
-        out.push(
-            (0..icaches.len())
-                .map(|g| {
-                    lanes[g * npols..(g + 1) * npols]
-                        .iter()
-                        .map(|lane| lane.finish(measured_instructions, &fe))
-                        .collect()
-                })
-                .collect(),
+        out.extend(
+            lanes
+                .iter()
+                .map(|lane| lane.finish(measured_instructions, &fe)),
         );
     }
+
+    // Every lane consumed the identical event stream.
+    debug_assert!(
+        lanes.windows(2).all(|w| w[0].groups == w[1].groups),
+        "policy lanes diverged: fetch-group counts {:?}",
+        lanes.iter().map(|l| l.groups).collect::<Vec<_>>()
+    );
     out
 }
 
-/// Rebuild an arena's lane grid from scratch for a new
-/// (config, geometries, policies) key.
-fn rebuild_arena<S: ReplaySource>(
-    arena: &mut EngineArena,
-    base: &SimConfig,
-    icaches: &[fe_cache::CacheConfig],
-    policies: &[PolicyKind],
-    reusable: bool,
-    source: &S,
-) {
-    // Offline (OPT) lanes need the full access sequences ahead of time:
-    // precompute them once per trace and share across all offline lanes
-    // (the block sequence is geometry-independent).
-    let offline = if reusable {
-        None
-    } else {
-        Some(offline_sequences(
-            source.replay(),
-            base.icache.block_bytes(),
-        ))
-    };
-    arena.lanes.clear();
-    for &icache in icaches {
-        for &p in policies {
-            let seq = if p.is_offline() {
-                offline.as_ref()
-            } else {
-                None
-            };
-            arena.lanes.push(Lane {
-                policy: p,
-                pair: build_pair(
-                    p,
-                    icache,
-                    base.btb_entries,
-                    base.btb_ways,
-                    base.ghrp,
-                    base.sdbp,
-                    base.seed,
-                    seq.map(|(blocks, _)| blocks.as_slice()),
-                    seq.map(|(_, pcs)| pcs.as_slice()),
-                ),
-                wrong_path_misses: 0,
-                wrong_path_accesses: 0,
-                groups: 0,
-            });
+/// One simulation run: which traces to replay, from where, through which
+/// lane grid, and whether to phase-sample them.
+///
+/// Every suite, sweep and sampled run goes through [`RunSpec::run`]; a
+/// suite is a one-geometry grid (`base.icache`), a sweep a many-geometry
+/// one.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// Workloads, one trace each, in row order.
+    pub specs: &'a [WorkloadSpec],
+    /// Shared configuration. `base.policy` is ignored, and `base.icache`
+    /// only sets the block size the fetch stream is chunked at.
+    pub base: &'a SimConfig,
+    /// Where the records come from.
+    pub source: SuiteSource<'a>,
+    /// I-cache geometries of the lane grid, all at `base`'s block size.
+    pub geometries: &'a [CacheConfig],
+    /// Policies of the lane grid; every geometry runs all of them.
+    pub policies: &'a [PolicyKind],
+    /// Whether lanes drive their BTB; runs that read only I-cache MPKI
+    /// skip it (BTB figures then come back zero).
+    pub measure_btb: bool,
+    /// Phase-sampled replay ([`crate::sampled`]), which needs a corpus
+    /// source; `None` replays every trace in full.
+    pub sampling: Option<SampleParams>,
+}
+
+/// Measured figures of one (trace, geometry, policy) lane, merged over
+/// its replayed segments by segment weight.
+///
+/// A full run is one segment of weight 1, and `0.0 + 1.0 * x == x`
+/// exactly, so full-run figures are the lane's own MPKIs bit for bit.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct LaneMetrics {
+    /// Measured (post-warm-up) instructions, summed over segments.
+    pub instructions: u64,
+    /// Conditional-branch MPKI (policy independent).
+    pub branch_mpki: f64,
+    /// I-cache MPKI.
+    pub icache_mpki: f64,
+    /// BTB MPKI (zero when the run skipped BTBs).
+    pub btb_mpki: f64,
+}
+
+impl LaneMetrics {
+    /// Add one segment's result at the segment's weight. A segment whose
+    /// measurement never started contributes nothing (its MPKI would be
+    /// 0/0).
+    fn fold(&mut self, seg: &Segment, r: &RunResult) {
+        self.instructions += r.instructions;
+        if r.instructions == 0 || seg.weight == 0.0 {
+            return;
+        }
+        self.branch_mpki += seg.weight * r.branch_mpki();
+        self.icache_mpki += seg.weight * r.icache_mpki();
+        self.btb_mpki += seg.weight * r.btb_mpki();
+    }
+}
+
+/// The result of a [`RunSpec`]: the merged figures of every (trace,
+/// geometry, policy) lane, plus the run's observability. Suite rows
+/// ([`crate::SuiteResult::from_grid`]) and sweep points
+/// ([`crate::sweep::SweepResult::from_grid`]) are its reshapes.
+#[derive(Debug, Clone)]
+pub struct RunGrid {
+    traces: usize,
+    geometries: usize,
+    policies: usize,
+    /// Trace-major, then geometry, then policy.
+    cells: Vec<LaneMetrics>,
+    /// Scheduler observability for the run.
+    pub scheduler: SchedulerStats,
+    /// Sampling observability when the run was phase-sampled.
+    pub sampled: Option<SampledInfo>,
+}
+
+impl RunGrid {
+    /// Number of traces (rows) in the grid.
+    pub(crate) fn traces(&self) -> usize {
+        self.traces
+    }
+
+    /// The per-policy lanes of `trace` at geometry `geometry`, in the
+    /// spec's policy order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trace` or `geometry` is out of range.
+    pub(crate) fn lanes(&self, trace: usize, geometry: usize) -> &[LaneMetrics] {
+        assert!(trace < self.traces && geometry < self.geometries);
+        let lo = (trace * self.geometries + geometry) * self.policies;
+        &self.cells[lo..lo + self.policies]
+    }
+}
+
+impl RunSpec<'_> {
+    /// Run the spec on `threads` worker threads (`0` = every available
+    /// hardware thread) and return its per-lane grid.
+    ///
+    /// The task grid is `lane part × trace`. The lane list (geometry
+    /// major, then policy) is one part when the traces alone give every
+    /// worker a task; with more workers than traces it splits into
+    /// contiguous parts so the extra workers still parallelize. Tasks are
+    /// part-major, so a worker's consecutive tasks share a part and its
+    /// lane arena resets lanes in place instead of rebuilding them.
+    /// The grid is bit-identical to a serial run at every thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a corpus source does not match `specs` (length or
+    /// names), if sampling is asked of a streamed source, if a geometry's
+    /// block size differs from `base`'s, if an offline policy meets a
+    /// sampled plan, if the BTB geometry is invalid, or if a worker
+    /// panics.
+    pub fn run(&self, threads: usize) -> RunGrid {
+        self.source.validate(self.specs);
+        let base = self.base;
+        let block_bytes = base.icache.block_bytes();
+        assert!(
+            self.geometries
+                .iter()
+                .all(|g| g.block_bytes() == block_bytes),
+            "fused geometries must share the base block size"
+        );
+        let plans: Vec<SamplePlan> = match (self.sampling, self.source) {
+            (Some(params), SuiteSource::Corpus(corpus)) => (0..corpus.len())
+                .map(|s| build_plan(corpus.trace(s), base, &params))
+                .collect(),
+            (sampling, _) => {
+                assert!(sampling.is_none(), "sampled replay needs a corpus source");
+                Vec::new()
+            }
+        };
+        let lanes = lane_grid(self.geometries, self.policies);
+        let ntraces = self.specs.len();
+        let workers = schedule::resolve_threads(threads);
+        let nparts = workers
+            .div_ceil(ntraces.max(1))
+            .clamp(1, lanes.len().max(1));
+        let parts: Vec<(usize, usize)> = (0..nparts)
+            .map(|p| (p * lanes.len() / nparts, (p + 1) * lanes.len() / nparts))
+            .collect();
+
+        let (results, scheduler) = schedule::run_grid(
+            nparts * ntraces,
+            workers,
+            |_| EngineArena::default(),
+            |arena, t| {
+                let (lo, hi) = parts[t / ntraces];
+                let s = t % ntraces;
+                let part = &lanes[lo..hi];
+                let btb = self.measure_btb;
+                match self.source {
+                    SuiteSource::Streamed => {
+                        let trace = self.specs[s].streamed();
+                        let full = [Segment::full(trace.instructions(), base.warmup_cap)];
+                        let records = |_: &Segment| trace.replay();
+                        // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
+                        let results = replay_segments(base, part, btb, &full, records, arena);
+                        fold_segments(&full, &results, part.len())
+                    }
+                    SuiteSource::Corpus(corpus) => {
+                        let trace = corpus.trace(s);
+                        let full = [Segment::full(trace.instructions(), base.warmup_cap)];
+                        let segments = match plans.get(s) {
+                            Some(plan) if !plan.exact => &plan.segments[..],
+                            _ => &full[..],
+                        };
+                        let records = |seg: &Segment| trace.cursor_range(seg.rec_lo, seg.rec_hi);
+                        // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
+                        let results = replay_segments(base, part, btb, segments, records, arena);
+                        fold_segments(segments, &results, part.len())
+                    }
+                }
+            },
+        );
+
+        // Parts are contiguous and ascending, so concatenating a trace's
+        // parts restores its full lane list.
+        let mut cells = Vec::with_capacity(ntraces * lanes.len());
+        for s in 0..ntraces {
+            for p in 0..nparts {
+                cells.extend_from_slice(&results[p * ntraces + s]);
+            }
+        }
+        RunGrid {
+            traces: ntraces,
+            geometries: self.geometries.len(),
+            policies: self.policies.len(),
+            cells,
+            scheduler,
+            sampled: self.sampling.map(|_| SampledInfo::from_plans(&plans)),
         }
     }
-    arena.key = reusable.then(|| ArenaKey {
-        base: *base,
-        icaches: icaches.to_vec(),
-        policies: policies.to_vec(),
-    });
+}
+
+/// The weighted-segment fold: merge each lane's per-segment results
+/// (segment-major, as [`replay_segments`] returns them) into its
+/// [`LaneMetrics`].
+fn fold_segments(segments: &[Segment], results: &[RunResult], nlanes: usize) -> Vec<LaneMetrics> {
+    let mut metrics = vec![LaneMetrics::default(); nlanes];
+    for (seg, seg_results) in segments.iter().zip(results.chunks_exact(nlanes.max(1))) {
+        for (m, r) in metrics.iter_mut().zip(seg_results) {
+            m.fold(seg, r);
+        }
+    }
+    metrics
 }
 
 #[cfg(test)]

@@ -1,19 +1,17 @@
 //! Suite experiments: run many workloads across many policies.
 //!
-//! Since the single-pass engine landed, [`run_trace`] replays each
-//! workload **once** for the whole policy set (see [`crate::engine`]) and
-//! streams the trace straight out of the workload walker, never
-//! materializing a record vector. The legacy one-simulation-per-policy
-//! path survives as [`run_trace_legacy`], the reference implementation
-//! that the equivalence test suite and the `suite_throughput` benchmark
-//! compare against.
+//! A suite is a one-geometry [`RunSpec`]: every workload replays **once**
+//! for the whole policy set (see [`crate::engine`]), by default streamed
+//! straight out of the workload walker so no record vector is ever
+//! materialized. [`SuiteResult`] is the per-trace reshape of the run's
+//! grid.
 
 #![forbid(unsafe_code)]
 
-use crate::engine::{run_lanes, run_lanes_multi, EngineArena};
+use crate::engine::{RunGrid, RunSpec};
 use crate::policy::PolicyKind;
-use crate::schedule::{self, SchedulerStats};
-use crate::simulator::{RunResult, SimConfig, Simulator};
+use crate::schedule::SchedulerStats;
+use crate::simulator::SimConfig;
 use crate::stats;
 use fe_trace::synth::{WorkloadCategory, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -46,7 +44,7 @@ pub struct SuiteResult {
     /// Scheduler observability for the run (worker utilization, steals).
     pub scheduler: SchedulerStats,
     /// Sampling observability when the suite ran phase-sampled
-    /// ([`crate::sampled::run_suite_sampled`]); `None` for full replay.
+    /// ([`RunSpec::sampling`]); `None` for full replay.
     pub sampled: Option<crate::sampled::SampledInfo>,
 }
 
@@ -60,6 +58,38 @@ impl PartialEq for SuiteResult {
 }
 
 impl SuiteResult {
+    /// Reshape the grid of a one-geometry run of `specs` × `policies`
+    /// into per-trace rows.
+    pub fn from_grid(
+        specs: &[WorkloadSpec],
+        policies: &[PolicyKind],
+        grid: RunGrid,
+    ) -> SuiteResult {
+        let rows = specs
+            .iter()
+            .enumerate()
+            .map(|(s, spec)| {
+                let lanes = grid.lanes(s, 0);
+                // Every lane consumed the same shared pass, so the
+                // policy-independent columns come from the first.
+                TraceRow {
+                    name: spec.name.clone(),
+                    category: spec.category,
+                    instructions: lanes.first().map_or(0, |l| l.instructions),
+                    icache_mpki: lanes.iter().map(|l| l.icache_mpki).collect(),
+                    btb_mpki: lanes.iter().map(|l| l.btb_mpki).collect(),
+                    branch_mpki: lanes.first().map_or(0.0, |l| l.branch_mpki),
+                }
+            })
+            .collect();
+        SuiteResult {
+            policies: policies.to_vec(),
+            rows,
+            scheduler: grid.scheduler,
+            sampled: grid.sampled,
+        }
+    }
+
     /// Column of I-cache MPKIs for `policy`, one entry per trace.
     ///
     /// # Panics
@@ -166,61 +196,6 @@ impl SuiteResult {
     }
 }
 
-/// Assemble a [`TraceRow`] from one engine pass, computing the shared
-/// (policy-independent) columns exactly once.
-fn row_from_results(spec: &WorkloadSpec, results: &[RunResult]) -> TraceRow {
-    // Every lane consumed the identical shared pass, so the
-    // policy-independent numbers must agree exactly.
-    debug_assert!(
-        results.windows(2).all(|w| {
-            w[0].instructions == w[1].instructions
-                && w[0].cond_branches == w[1].cond_branches
-                && w[0].cond_mispredictions == w[1].cond_mispredictions
-        }),
-        "policy lanes disagree on the shared instruction/branch counts"
-    );
-    TraceRow {
-        name: spec.name.clone(),
-        category: spec.category,
-        instructions: results.first().map_or(0, |r| r.instructions),
-        icache_mpki: results.iter().map(RunResult::icache_mpki).collect(),
-        btb_mpki: results.iter().map(RunResult::btb_mpki).collect(),
-        branch_mpki: results.first().map_or(0.0, RunResult::branch_mpki),
-    }
-}
-
-/// Run every policy on one workload in a single trace replay.
-///
-/// The workload streams straight out of its walker (no materialized
-/// record vector), the fetch stream is decoded once, the branch
-/// predictors run once, and each policy gets its own lane — per-lane MPKI
-/// is bit-identical to [`run_trace_legacy`].
-pub fn run_trace(spec: &WorkloadSpec, base: &SimConfig, policies: &[PolicyKind]) -> TraceRow {
-    let streamed = spec.streamed();
-    let results = run_lanes(base, policies, &streamed);
-    row_from_results(spec, &results)
-}
-
-/// The pre-engine reference path: generate the trace, then run one full
-/// [`Simulator`] per policy.
-///
-/// Kept **only** so the equivalence tests and the `suite_throughput`
-/// benchmark can compare the single-pass engine against the original
-/// semantics; experiment code should call [`run_trace`].
-#[doc(hidden)]
-pub fn run_trace_legacy(
-    spec: &WorkloadSpec,
-    base: &SimConfig,
-    policies: &[PolicyKind],
-) -> TraceRow {
-    let trace = spec.generate();
-    let results: Vec<RunResult> = policies
-        .iter()
-        .map(|&p| Simulator::new(base.with_policy(p)).run(&trace.records, trace.instructions))
-        .collect();
-    row_from_results(spec, &results)
-}
-
 /// Where a suite or sweep run draws its branch records from.
 ///
 /// Both variants produce bit-identical results; they differ only in
@@ -267,25 +242,14 @@ impl SuiteSource<'_> {
     }
 }
 
-/// Contiguous near-equal split of `0..n` into `parts` ranges.
-pub(crate) fn split_bounds(n: usize, parts: usize) -> Vec<(usize, usize)> {
-    let parts = parts.max(1);
-    (0..parts)
-        .map(|p| (p * n / parts, (p + 1) * n / parts))
-        .collect()
-}
-
-/// Run a whole suite, draining a flattened task grid over `threads` OS
-/// threads with the work-stealing scheduler ([`crate::schedule`]).
+/// Run a whole suite over `threads` OS threads (`0` = every available
+/// hardware thread), streaming each workload out of its walker.
 ///
-/// `threads = 0` means "use every available hardware thread". The grid is
-/// `workload × policy-chunk`: with more threads than workloads the policy
-/// set splits into contiguous chunks so the extra threads still
-/// parallelize (the old path silently clamped `threads` to the workload
-/// count). Each worker reuses one [`EngineArena`] across its tasks, so
-/// lane allocations are reset in place instead of rebuilt. Rows come back
-/// in suite order with columns in policy order — bit-identical to a
-/// serial run, regardless of thread count or scheduling.
+/// With more threads than workloads the policy set splits into
+/// contiguous chunks so the extra threads still parallelize (see
+/// [`RunSpec::run`]). Rows come back in suite order with columns in
+/// policy order — bit-identical to a serial run, regardless of thread
+/// count or scheduling.
 ///
 /// # Panics
 ///
@@ -316,67 +280,17 @@ pub fn run_suite_from(
     threads: usize,
     source: SuiteSource<'_>,
 ) -> SuiteResult {
-    source.validate(specs);
-    let workers = schedule::resolve_threads(threads);
-    let nspecs = specs.len();
-    let npols = policies.len();
-    // Enough policy chunks to give every worker a task even when the
-    // suite has fewer workloads than workers.
-    let nchunks = workers.div_ceil(nspecs.max(1)).clamp(1, npols.max(1));
-    let chunk_bounds = split_bounds(npols, nchunks);
-
-    // Task t = chunk-major (c · nspecs + s): a worker's contiguous range
-    // stays within one policy chunk, maximizing arena reuse.
-    let (chunk_results, scheduler) = schedule::run_grid(
-        nchunks * nspecs,
-        workers,
-        |_| EngineArena::new(),
-        |arena, t| {
-            let c = t / nspecs.max(1);
-            let s = t - c * nspecs.max(1);
-            let (lo, hi) = chunk_bounds[c];
-            let mut geometry_results = match source {
-                SuiteSource::Streamed => {
-                    let streamed = specs[s].streamed();
-                    run_lanes_multi(
-                        base,
-                        std::slice::from_ref(&base.icache),
-                        &policies[lo..hi],
-                        true,
-                        &streamed,
-                        arena,
-                    )
-                }
-                SuiteSource::Corpus(corpus) => run_lanes_multi(
-                    base,
-                    std::slice::from_ref(&base.icache),
-                    &policies[lo..hi],
-                    true,
-                    corpus.trace(s),
-                    arena,
-                ),
-            };
-            geometry_results.pop().unwrap_or_default()
-        },
-    );
-
-    let rows = specs
-        .iter()
-        .enumerate()
-        .map(|(s, spec)| {
-            let mut all: Vec<RunResult> = Vec::with_capacity(npols);
-            for c in 0..nchunks {
-                all.extend(chunk_results[c * nspecs + s].iter().copied());
-            }
-            row_from_results(spec, &all)
-        })
-        .collect();
-    SuiteResult {
-        policies: policies.to_vec(),
-        rows,
-        scheduler,
-        sampled: None,
+    let grid = RunSpec {
+        specs,
+        base,
+        source,
+        geometries: std::slice::from_ref(&base.icache),
+        policies,
+        measure_btb: true,
+        sampling: None,
     }
+    .run(threads);
+    SuiteResult::from_grid(specs, policies, grid)
 }
 
 #[cfg(test)]
@@ -408,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn single_pass_rows_match_legacy_rows() {
+    fn suite_rows_match_per_policy_simulator_runs() {
         let specs = tiny_suite();
         let cfg = SimConfig::paper_default();
         let pols = [
@@ -418,10 +332,17 @@ mod tests {
             PolicyKind::Sdbp,
             PolicyKind::Ghrp,
         ];
-        for spec in &specs {
-            let engine = run_trace(spec, &cfg, &pols);
-            let legacy = run_trace_legacy(spec, &cfg, &pols);
-            assert_eq!(engine, legacy, "{}", spec.name);
+        let suite = run_suite(&specs, &cfg, &pols, 2);
+        for (row, spec) in suite.rows.iter().zip(&specs) {
+            let trace = spec.generate();
+            for (i, &p) in pols.iter().enumerate() {
+                let r = crate::Simulator::new(cfg.with_policy(p))
+                    .run(&trace.records, trace.instructions);
+                assert_eq!(row.instructions, r.instructions, "{}", spec.name);
+                assert_eq!(row.branch_mpki.to_bits(), r.branch_mpki().to_bits());
+                assert_eq!(row.icache_mpki[i].to_bits(), r.icache_mpki().to_bits());
+                assert_eq!(row.btb_mpki[i].to_bits(), r.btb_mpki().to_bits());
+            }
         }
     }
 
@@ -487,7 +408,7 @@ mod tests {
 
     mod equivalence_props {
         use super::*;
-        use crate::sweep::{run_sweep, SweepResult};
+        use crate::sweep::{run_sweep_with, SweepResult};
         use proptest::prelude::*;
 
         /// Build a suite with `n` workloads; workload `heavy` (if any)
@@ -536,8 +457,11 @@ mod tests {
                 let geoms = [(8 * 1024, 4), (16 * 1024, 4), (32 * 1024, 8)];
                 let pols = [PolicyKind::Lru, PolicyKind::Ghrp];
                 let cfg = SimConfig::paper_default();
-                let serial: SweepResult = run_sweep(&specs, &cfg, &pols, &geoms, 1);
-                let parallel = run_sweep(&specs, &cfg, &pols, &geoms, threads);
+                let sweep = |threads| {
+                    run_sweep_with(&specs, &cfg, &pols, &geoms, threads, SuiteSource::Streamed, false)
+                };
+                let serial: SweepResult = sweep(1);
+                let parallel = sweep(threads);
                 prop_assert_eq!(serial, parallel);
             }
         }

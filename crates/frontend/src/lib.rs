@@ -7,25 +7,30 @@
 //!   branch direction predictor, with the paper's warm-up discipline
 //!   (first half of the trace, capped) and commit-time GHRP training. It
 //!   is *not* cycle accurate; MPKI is the figure of merit.
-//! * [`engine`] — the single-pass multi-policy engine: one trace replay
-//!   decodes the fetch stream and drives the shared predictors exactly
-//!   once, broadcasting each event to N per-policy lanes whose counters
-//!   stay bit-identical to standalone [`Simulator`] runs.
+//! * [`engine`] — the one replay loop and the one run driver. A
+//!   [`RunSpec`] (traces, source, geometry × policy lane grid, BTB
+//!   measurement, optional sampling) runs through [`RunSpec::run`]: each
+//!   trace replays once as a list of segments — a full run is one
+//!   segment, a sampled run its plan's — decoding the fetch stream and
+//!   driving the shared predictors exactly once while broadcasting every
+//!   event to per-policy lanes whose counters stay bit-identical to
+//!   standalone [`Simulator`] runs. The result is a per-(trace, geometry,
+//!   policy) [`RunGrid`].
 //! * [`policy`] — [`PolicyKind`]: runtime selection of the replacement
 //!   policy pair (I-cache + BTB) under study.
-//! * [`experiment`] — run a workload suite across policies, in parallel,
-//!   producing per-trace MPKI tables (built on [`engine`], with streaming
-//!   trace replay so paper-scale suites never materialize record
-//!   vectors).
+//! * [`experiment`] — suite results: the per-trace MPKI table reshaped
+//!   from a one-geometry run grid, with streaming trace replay so
+//!   paper-scale suites never materialize record vectors.
 //! * [`schedule`] — the dependency-free work-stealing scheduler that
-//!   drains the flattened suite/sweep task grids, with per-worker lane
-//!   arenas ([`engine::EngineArena`]) reused across tasks.
-//! * [`sweep`] — cache-geometry sweeps (the paper's Figure 7), fused so
-//!   one trace replay drives the lanes of every geometry at once.
+//!   drains the run driver's task grid, with per-worker lane arenas
+//!   reused across tasks.
+//! * [`sweep`] — cache-geometry sweeps (the paper's Figure 7): the
+//!   per-geometry means of a many-geometry run grid, so one trace replay
+//!   drives the lanes of every geometry at once.
 //! * [`sampled`] — SimPoint-style phase-sampled replay: deterministic
-//!   clustering of corpus signature intervals, warmup-prefixed
-//!   representative segments, and cluster-weight-averaged MPKI with an
-//!   error estimate — two-orders-of-magnitude-cheaper wide sweeps.
+//!   clustering of corpus signature intervals into warmup-prefixed
+//!   representative segments, cluster-weight-averaged MPKI and an error
+//!   estimate — two-orders-of-magnitude-cheaper wide sweeps.
 //! * [`stats`] — means, 95% confidence intervals on relative differences
 //!   (Figure 8), win/loss counts vs LRU (Figure 9), and S-curve ordering
 //!   (Figures 3 and 11).
@@ -51,10 +56,7 @@ pub mod simulator;
 pub mod stats;
 pub mod sweep;
 
-pub use engine::{
-    run_lanes, run_lanes_multi, run_lanes_sampled, EngineArena, ReplaySource, SampledSegment,
-    SliceReplay,
-};
+pub use engine::{run_lanes, ReplaySource, RunGrid, RunSpec, Segment, SliceReplay};
 pub use experiment::{SuiteResult, SuiteSource, TraceRow};
 pub use policy::PolicyKind;
 pub use sampled::{

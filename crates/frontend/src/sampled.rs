@@ -13,15 +13,16 @@
 //! 2. cluster the intervals' normalized signature vectors with the
 //!    deterministic k-means ([`fe_trace::sample::kmeans`]), seeded from
 //!    the trace name, and keep one representative interval per cluster;
-//! 3. replay only the representatives ([`run_lanes_sampled`]), each
+//! 3. replay only the representatives as the run's [`Segment`]s (the
+//!    engine's one replay loop, driven by [`RunSpec::run`]), each
 //!    preceded by a `warmup` instruction prefix of functional warming,
 //!    and combine per-interval MPKI into a cluster-weight-averaged
 //!    estimate with a reported heterogeneity-based error estimate.
 //!
 //! When `k` covers every interval (or the trace is too small to
-//! sample), the plan is **exact** and the drivers delegate to the full
-//! single-pass engine — bit-identical to unsampled replay, which is the
-//! anchor the equivalence proptests pin.
+//! sample), the plan is **exact** and the trace replays as one full
+//! segment — bit-identical to unsampled replay, which is the anchor the
+//! equivalence proptests pin.
 //!
 //! Everything is deterministic: plans are a pure function of
 //! (sidecar bytes, config, params), so repeated sampled runs are
@@ -29,12 +30,11 @@
 
 #![forbid(unsafe_code)]
 
-use crate::engine::{run_lanes_multi, run_lanes_sampled, EngineArena, SampledSegment};
+use crate::engine::{RunSpec, Segment};
+use crate::experiment::{SuiteResult, SuiteSource};
 use crate::policy::PolicyKind;
-use crate::schedule::{self, SchedulerStats};
-use crate::simulator::{RunResult, SimConfig};
-use crate::stats;
-use fe_cache::CacheConfig;
+use crate::simulator::SimConfig;
+use crate::sweep::{sweep_icaches, SweepResult};
 use fe_trace::corpus::{fnv1a64, CorpusTrace, SuiteCorpus};
 use fe_trace::sample::{kmeans, KMEANS_MAX_ITERATIONS};
 use fe_trace::signature::{
@@ -73,7 +73,7 @@ impl std::fmt::Display for SampleParams {
 
 /// Aggregated sampling observability attached to a sampled
 /// [`crate::experiment::SuiteResult`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SampledInfo {
     /// Instructions actually replayed (warmup + measured) across all
     /// traces.
@@ -87,6 +87,16 @@ pub struct SampledInfo {
 }
 
 impl SampledInfo {
+    /// Aggregate per-trace plans into the run-level summary.
+    pub(crate) fn from_plans(plans: &[SamplePlan]) -> SampledInfo {
+        SampledInfo {
+            replayed_instructions: plans.iter().map(|p| p.replayed_instructions).sum(),
+            total_instructions: plans.iter().map(|p| p.total_instructions).sum(),
+            est_error: plans.iter().map(|p| p.est_error).fold(0.0, f64::max),
+            exact: plans.iter().all(|p| p.exact),
+        }
+    }
+
     /// Full-replay instructions per replayed instruction — the
     /// per-trace work reduction the sampler achieved.
     #[must_use]
@@ -104,11 +114,11 @@ impl SampledInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SamplePlan {
     /// `true` when the plan is full replay (small trace, or `k` covers
-    /// every interval): the drivers delegate to the unsampled engine
-    /// and results are bit-identical to it.
+    /// every interval): the trace replays as one full segment and
+    /// results are bit-identical to unsampled replay.
     pub exact: bool,
     /// Replay segments in ascending trace order (empty when `exact`).
-    pub segments: Vec<SampledSegment>,
+    pub segments: Vec<Segment>,
     /// Heuristic error estimate: the cluster-weighted mean L1 distance
     /// between each interval's signature vector and its
     /// representative's, halved (total-variation style, in `[0, 1]`).
@@ -269,7 +279,7 @@ fn plan_from_signatures(
         }
         let c = clustering.assignments[g] as usize;
         let weight = cluster_instr[c] as f64 / total_measured as f64;
-        segments.push(SampledSegment {
+        segments.push(Segment {
             rec_lo: rec_at(warm_b),
             rec_hi: rec_at(hi_b),
             warmup_instructions: m_start - instr_at(warm_b),
@@ -288,79 +298,13 @@ fn plan_from_signatures(
     }
 }
 
-/// Weighted per-policy metrics of one (trace, policy-slice) task.
-#[derive(Debug, Clone, Default)]
-struct PartialRow {
-    instructions: u64,
-    branch_mpki: f64,
-    icache_mpki: Vec<f64>,
-    btb_mpki: Vec<f64>,
-}
-
-impl PartialRow {
-    fn from_full(results: &[RunResult]) -> PartialRow {
-        PartialRow {
-            instructions: results.first().map_or(0, |r| r.instructions),
-            branch_mpki: results.first().map_or(0.0, RunResult::branch_mpki),
-            icache_mpki: results.iter().map(RunResult::icache_mpki).collect(),
-            btb_mpki: results.iter().map(RunResult::btb_mpki).collect(),
-        }
-    }
-
-    /// Cluster-weight-average one geometry's per-segment results
-    /// (`seg_results[s][p]`, ascending segment order).
-    fn from_segments(seg_results: &[&[RunResult]], segments: &[SampledSegment]) -> PartialRow {
-        let npols = seg_results.first().map_or(0, |r| r.len());
-        let mut out = PartialRow {
-            instructions: 0,
-            branch_mpki: 0.0,
-            icache_mpki: vec![0.0; npols],
-            btb_mpki: vec![0.0; npols],
-        };
-        for (results, seg) in seg_results.iter().zip(segments) {
-            let measured = results.first().map_or(0, |r| r.instructions);
-            out.instructions += measured;
-            // A segment whose measurement never started contributes
-            // nothing (its MPKI would be 0/0).
-            if measured == 0 || seg.weight == 0.0 {
-                continue;
-            }
-            out.branch_mpki += seg.weight * results.first().map_or(0.0, RunResult::branch_mpki);
-            for (p, r) in results.iter().enumerate() {
-                out.icache_mpki[p] += seg.weight * r.icache_mpki();
-                out.btb_mpki[p] += seg.weight * r.btb_mpki();
-            }
-        }
-        out
-    }
-}
-
-/// Aggregate per-trace plans into the suite-level [`SampledInfo`].
-fn info_from_plans(plans: &[SamplePlan]) -> SampledInfo {
-    SampledInfo {
-        replayed_instructions: plans.iter().map(|p| p.replayed_instructions).sum(),
-        total_instructions: plans.iter().map(|p| p.total_instructions).sum(),
-        est_error: plans.iter().map(|p| p.est_error).fold(0.0, f64::max),
-        exact: plans.iter().all(|p| p.exact),
-    }
-}
-
 /// Phase-sampled counterpart of [`crate::experiment::run_suite_from`]
-/// over a corpus source.
-///
-/// Per-trace plans are built once (from the signature sidecars), then
-/// the same chunk-major task grid as the full-suite driver drains over
-/// `threads` workers. Traces whose plan is exact replay in full through
-/// [`run_lanes_multi`] — bit-identical to the unsampled path — and
-/// sampled traces replay only their plan's segments. The result carries
-/// a [`SampledInfo`] describing the achieved work reduction and error
-/// estimate.
+/// over a corpus source: a [`RunSpec`] with sampling on, whose result
+/// carries the run's [`SampledInfo`].
 ///
 /// # Panics
 ///
-/// Panics if the corpus does not match `specs` (length or names), if
-/// `policies` contains an offline policy and any plan samples, or if a
-/// worker thread panics.
+/// As [`RunSpec::run`].
 pub fn run_suite_sampled(
     specs: &[WorkloadSpec],
     base: &SimConfig,
@@ -368,100 +312,27 @@ pub fn run_suite_sampled(
     threads: usize,
     corpus: &SuiteCorpus,
     params: &SampleParams,
-) -> crate::experiment::SuiteResult {
-    crate::experiment::SuiteSource::Corpus(corpus).validate(specs);
-    let workers = schedule::resolve_threads(threads);
-    let nspecs = specs.len();
-    let npols = policies.len();
-    let plans: Vec<SamplePlan> = (0..nspecs)
-        .map(|s| build_plan(corpus.trace(s), base, params))
-        .collect();
-    let nchunks = workers.div_ceil(nspecs.max(1)).clamp(1, npols.max(1));
-    let chunk_bounds = crate::experiment::split_bounds(npols, nchunks);
-
-    let (chunk_results, scheduler) = schedule::run_grid(
-        nchunks * nspecs,
-        workers,
-        |_| EngineArena::new(),
-        |arena, t| {
-            let c = t / nspecs.max(1);
-            let s = t - c * nspecs.max(1);
-            let (lo, hi) = chunk_bounds[c];
-            let trace = corpus.trace(s);
-            let plan = &plans[s];
-            if plan.exact {
-                // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-                let results = run_lanes_multi(
-                    base,
-                    std::slice::from_ref(&base.icache),
-                    &policies[lo..hi],
-                    true,
-                    trace,
-                    arena,
-                )
-                .pop()
-                .unwrap_or_default();
-                PartialRow::from_full(&results)
-            } else {
-                // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-                let seg_results = run_lanes_sampled(
-                    base,
-                    std::slice::from_ref(&base.icache),
-                    &policies[lo..hi],
-                    true,
-                    trace,
-                    &plan.segments,
-                    arena,
-                );
-                let per_geometry: Vec<&[RunResult]> =
-                    seg_results.iter().map(|g| g[0].as_slice()).collect();
-                PartialRow::from_segments(&per_geometry, &plan.segments)
-            }
-        },
-    );
-
-    let rows = specs
-        .iter()
-        .enumerate()
-        .map(|(s, spec)| {
-            let mut icache_mpki = Vec::with_capacity(npols);
-            let mut btb_mpki = Vec::with_capacity(npols);
-            for c in 0..nchunks {
-                let part = &chunk_results[c * nspecs + s];
-                icache_mpki.extend_from_slice(&part.icache_mpki);
-                btb_mpki.extend_from_slice(&part.btb_mpki);
-            }
-            let first = &chunk_results[s];
-            crate::experiment::TraceRow {
-                name: spec.name.clone(),
-                category: spec.category,
-                instructions: first.instructions,
-                icache_mpki,
-                btb_mpki,
-                branch_mpki: first.branch_mpki,
-            }
-        })
-        .collect();
-    crate::experiment::SuiteResult {
-        policies: policies.to_vec(),
-        rows,
-        scheduler,
-        sampled: Some(info_from_plans(&plans)),
+) -> SuiteResult {
+    let grid = RunSpec {
+        specs,
+        base,
+        source: SuiteSource::Corpus(corpus),
+        geometries: std::slice::from_ref(&base.icache),
+        policies,
+        measure_btb: true,
+        sampling: Some(*params),
     }
+    .run(threads);
+    SuiteResult::from_grid(specs, policies, grid)
 }
 
-/// Phase-sampled counterpart of [`crate::sweep::run_sweep_from`] over a
-/// corpus source, with optional per-lane BTB measurement (wide sweeps
-/// score BTB geometries too).
-///
-/// Same geometry-fused, group-major grid as the full sweep; exact plans
-/// delegate to [`run_lanes_multi`] per geometry group, sampled plans
-/// replay their segments once per group. Returns per-point I-cache and
-/// BTB means plus the aggregated [`SampledInfo`].
+/// Phase-sampled counterpart of [`crate::sweep::run_sweep_with`] over a
+/// corpus source. Returns per-point I-cache and BTB means plus the
+/// aggregated [`SampledInfo`].
 ///
 /// # Panics
 ///
-/// As [`run_suite_sampled`], plus invalid sweep geometries.
+/// As [`RunSpec::run`], plus invalid sweep geometries.
 #[allow(clippy::too_many_arguments)]
 pub fn run_sweep_sampled(
     specs: &[WorkloadSpec],
@@ -472,113 +343,21 @@ pub fn run_sweep_sampled(
     corpus: &SuiteCorpus,
     params: &SampleParams,
     measure_btb: bool,
-) -> (crate::sweep::SweepResult, SampledInfo) {
-    crate::experiment::SuiteSource::Corpus(corpus).validate(specs);
-    let workers = schedule::resolve_threads(threads);
-    let nspecs = specs.len();
-    let ngeoms = geometries.len();
-    let npols = policies.len();
-    let plans: Vec<SamplePlan> = (0..nspecs)
-        .map(|s| build_plan(corpus.trace(s), base, params))
-        .collect();
-    let info = info_from_plans(&plans);
-    if ngeoms == 0 {
-        return (
-            crate::sweep::SweepResult {
-                policies: policies.to_vec(),
-                points: Vec::new(),
-                scheduler: SchedulerStats::default(),
-            },
-            info,
-        );
+) -> (SweepResult, SampledInfo) {
+    // lint:allow(panic-path): once-per-sweep geometry validation before any replay, documented `# Panics`
+    let icaches = sweep_icaches(base, geometries);
+    let grid = RunSpec {
+        specs,
+        base,
+        source: SuiteSource::Corpus(corpus),
+        geometries: &icaches,
+        policies,
+        measure_btb,
+        sampling: Some(*params),
     }
-    let icaches: Vec<CacheConfig> = geometries
-        .iter()
-        .map(|&(capacity, ways)| {
-            CacheConfig::with_capacity(capacity, ways, base.icache.block_bytes())
-                // lint:allow(no-panic): once-per-sweep geometry validation before any replay, documented `# Panics`; mirrors the full sweep's contract
-                .expect("valid sweep geometry")
-        })
-        .collect();
-    let ngroups = workers.div_ceil(nspecs.max(1)).clamp(1, ngeoms);
-    let group_bounds = crate::experiment::split_bounds(ngeoms, ngroups);
-
-    // Task t = group-major (g · nspecs + s); each task yields one
-    // PartialRow per geometry of its group.
-    let (group_results, scheduler) = schedule::run_grid(
-        ngroups * nspecs,
-        workers,
-        |_| EngineArena::new(),
-        |arena, t| {
-            let g = t / nspecs.max(1);
-            let s = t - g * nspecs.max(1);
-            let (lo, hi) = group_bounds[g];
-            let trace = corpus.trace(s);
-            let plan = &plans[s];
-            if plan.exact {
-                let lanes = &icaches[lo..hi];
-                // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-                let results = run_lanes_multi(base, lanes, policies, measure_btb, trace, arena);
-                results
-                    .iter()
-                    .map(|geo| PartialRow::from_full(geo))
-                    .collect::<Vec<_>>()
-            } else {
-                // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-                let seg_results = run_lanes_sampled(
-                    base,
-                    &icaches[lo..hi],
-                    policies,
-                    measure_btb,
-                    trace,
-                    &plan.segments,
-                    arena,
-                );
-                (0..hi - lo)
-                    .map(|gi| {
-                        let per_geometry: Vec<&[RunResult]> =
-                            seg_results.iter().map(|seg| seg[gi].as_slice()).collect();
-                        PartialRow::from_segments(&per_geometry, &plan.segments)
-                    })
-                    .collect::<Vec<_>>()
-            }
-        },
-    );
-
-    let mut points = Vec::with_capacity(ngeoms);
-    let mut column = vec![0.0f64; nspecs];
-    for (gi, &(capacity, ways)) in geometries.iter().enumerate() {
-        let (g, (lo, _)) = group_bounds
-            .iter()
-            .enumerate()
-            .map(|(g, &b)| (g, b))
-            .find(|&(_, (lo, hi))| lo <= gi && gi < hi)
-            .unwrap_or((0, (0, 0)));
-        let mut mean = |metric: &dyn Fn(&PartialRow) -> &Vec<f64>, p: usize| {
-            for (s, dst) in column.iter_mut().enumerate() {
-                *dst = metric(&group_results[g * nspecs + s][gi - lo])[p];
-            }
-            stats::mean(&column)
-        };
-        // lint:allow(alloc-in-hot-loop): per-point result vectors — one allocation per sweep geometry, not per replayed record
-        let icache_means: Vec<f64> = (0..npols).map(|p| mean(&|r| &r.icache_mpki, p)).collect();
-        // lint:allow(alloc-in-hot-loop): per-point result vectors — one allocation per sweep geometry, not per replayed record
-        let btb_means: Vec<f64> = (0..npols).map(|p| mean(&|r| &r.btb_mpki, p)).collect();
-        points.push(crate::sweep::SweepPoint {
-            capacity_bytes: capacity,
-            ways,
-            icache_means,
-            btb_means,
-        });
-    }
-    (
-        crate::sweep::SweepResult {
-            policies: policies.to_vec(),
-            points,
-            scheduler,
-        },
-        info,
-    )
+    .run(threads);
+    let info = grid.sampled.unwrap_or_default();
+    (SweepResult::from_grid(geometries, policies, grid), info)
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
-//! Dependency-free work-stealing scheduler for suite/sweep task grids.
+//! Dependency-free work-stealing scheduler for the run driver's task grid.
 //!
-//! [`crate::experiment::run_suite`] and [`crate::sweep::run_sweep`] flatten
-//! their work into a grid of independent tasks (workload × policy-chunk, or
-//! workload × geometry-group) and drain it through [`run_grid`]. Three
-//! strategies cover the grid shapes that occur in practice:
+//! [`crate::engine::RunSpec::run`] flattens every suite, sweep and sampled
+//! run into a grid of independent tasks (lane part × trace) and drains it
+//! through [`run_grid`]. Three strategies cover the grid shapes that occur
+//! in practice:
 //!
 //! * **Inline** — one worker (or ≤ 1 task): no threads are spawned at all.
 //! * **Shared index** — small grids (fewer than two tasks per worker):
@@ -24,7 +24,7 @@
 //! interleaving — callers get output bit-identical to a serial loop.
 //!
 //! Contiguous initial ranges also give per-worker state (the engine's
-//! [`crate::engine::EngineArena`]) the best possible reuse locality: a
+//! lane arena) the best possible reuse locality: a
 //! worker's consecutive tasks usually share a configuration, so lane
 //! allocations reset in place instead of being rebuilt.
 

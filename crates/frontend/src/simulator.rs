@@ -260,7 +260,6 @@ impl Simulator {
         // fetches do not retire, so they cannot be MPKI events).
         let mut wrong_path_misses = 0u64;
         let mut wrong_path_accesses = 0u64;
-        let wrong_btb_misses = 0u64;
 
         let stream = FetchStream::new(records.iter().copied(), cfg.icache.block_bytes());
         for chunk in stream {
@@ -325,7 +324,7 @@ impl Simulator {
             instructions: measured_instructions,
             icache: icache_stats,
             btb_lookups: btb_stats.lookups,
-            btb_misses: btb_stats.misses - wrong_btb_misses,
+            btb_misses: btb_stats.misses,
             cond_branches: bp_stats.predictions,
             cond_mispredictions: bp_stats.mispredictions,
             ras_mispredictions: ras_mispred,

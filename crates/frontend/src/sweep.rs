@@ -4,19 +4,18 @@
 //! differ only in capacity/associativity — never block size. The
 //! policy-independent front end (fetch decode, direction predictor, RAS,
 //! indirect target cache) is therefore identical across every geometry,
-//! so [`run_sweep`] *fuses* geometries: one trace replay drives the lane
-//! grid of several geometries at once via
-//! [`crate::engine::run_lanes_multi`], and the per-lane BTBs are skipped
-//! entirely because a [`SweepPoint`] consumes only I-cache means. Both
-//! optimizations leave the reported means bit-identical to the
-//! one-suite-per-geometry path (locked in by tests below and the
-//! equivalence property suite).
+//! so a sweep is one many-geometry [`RunSpec`]: one trace replay drives
+//! the lanes of every geometry at once, and the Figure 7 sweep skips the
+//! per-lane BTBs entirely because it consumes only I-cache means. Both
+//! leave the reported means bit-identical to one suite per geometry
+//! (locked in by tests below and the equivalence property suite).
 
 #![forbid(unsafe_code)]
 
-use crate::engine::{run_lanes_multi, EngineArena};
+use crate::engine::{LaneMetrics, RunGrid, RunSpec};
+use crate::experiment::SuiteSource;
 use crate::policy::PolicyKind;
-use crate::schedule::{self, SchedulerStats};
+use crate::schedule::SchedulerStats;
 use crate::simulator::SimConfig;
 use crate::stats;
 use fe_cache::CacheConfig;
@@ -34,7 +33,7 @@ pub struct SweepPoint {
     /// Mean I-cache MPKI per policy (parallel to `SweepResult::policies`).
     pub icache_means: Vec<f64>,
     /// Mean BTB MPKI per policy — all zeros unless the sweep ran with
-    /// BTB measurement on (see [`run_sweep_with`]).
+    /// BTB measurement on ([`RunSpec::measure_btb`]).
     pub btb_means: Vec<f64>,
 }
 
@@ -59,6 +58,44 @@ impl PartialEq for SweepResult {
 }
 
 impl SweepResult {
+    /// Reshape the grid of a run over `geometries` × `policies` into
+    /// per-geometry means across its traces.
+    pub fn from_grid(
+        geometries: &[(u64, u32)],
+        policies: &[PolicyKind],
+        grid: RunGrid,
+    ) -> SweepResult {
+        let points = geometries
+            .iter()
+            .enumerate()
+            .map(|(g, &(capacity_bytes, ways))| {
+                // Per-policy means, accumulated in trace order: the
+                // float-summation order of one suite per geometry.
+                let means = |metric: fn(&LaneMetrics) -> f64| -> Vec<f64> {
+                    (0..policies.len())
+                        .map(|p| {
+                            let column: Vec<f64> = (0..grid.traces())
+                                .map(|s| metric(&grid.lanes(s, g)[p]))
+                                .collect();
+                            stats::mean(&column)
+                        })
+                        .collect()
+                };
+                SweepPoint {
+                    capacity_bytes,
+                    ways,
+                    icache_means: means(|l| l.icache_mpki),
+                    btb_means: means(|l| l.btb_mpki),
+                }
+            })
+            .collect();
+        SweepResult {
+            policies: policies.to_vec(),
+            points,
+            scheduler: grid.scheduler,
+        }
+    }
+
     /// Render the Figure 7 table: one row per configuration.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -94,175 +131,60 @@ pub fn paper_geometries() -> Vec<(u64, u32)> {
     v
 }
 
-/// Sweep the suite over `geometries` (capacity, ways) pairs.
-///
-/// `threads = 0` means "use every available hardware thread". The grid is
-/// `workload × geometry-group`: geometries fuse into as few groups as the
-/// thread budget allows (one group when `threads <= specs.len()`), each
-/// group costing a single trace replay per workload. More threads split
-/// the geometries into more groups for extra parallelism; per-point means
-/// are bit-identical either way. Per-lane BTBs are skipped — sweep points
-/// consume I-cache means only, and the GHRP BTB policy never writes the
-/// shared predictor.
+/// The I-cache configurations of `geometries` (capacity, ways) at
+/// `base`'s block size.
 ///
 /// # Panics
 ///
-/// Panics if a geometry is invalid (non-power-of-two sets) or differs
-/// from the base block size; propagates worker panics.
-pub fn run_sweep(
-    specs: &[WorkloadSpec],
-    base: &SimConfig,
-    policies: &[PolicyKind],
-    geometries: &[(u64, u32)],
-    threads: usize,
-) -> SweepResult {
-    run_sweep_from(
-        specs,
-        base,
-        policies,
-        geometries,
-        threads,
-        crate::experiment::SuiteSource::Streamed,
-    )
+/// Panics if a geometry is invalid (non-power-of-two sets).
+pub fn sweep_icaches(base: &SimConfig, geometries: &[(u64, u32)]) -> Vec<CacheConfig> {
+    geometries
+        .iter()
+        .map(|&(capacity, ways)| {
+            CacheConfig::with_capacity(capacity, ways, base.icache.block_bytes())
+                .expect("valid sweep geometry")
+        })
+        .collect()
 }
 
-/// [`run_sweep`] with an explicit replay source.
+/// Sweep the suite over `geometries` (capacity, ways) pairs on `threads`
+/// OS threads (`0` = every available hardware thread).
 ///
-/// With [`crate::experiment::SuiteSource::Corpus`] every task replays
-/// its workload from the shared corpus buffer instead of re-walking the
-/// synthetic program; per-point means are bit-identical either way.
-///
-/// # Panics
-///
-/// As [`run_sweep`], plus a corpus source that does not match the suite
-/// specs (length or workload names).
-pub fn run_sweep_from(
-    specs: &[WorkloadSpec],
-    base: &SimConfig,
-    policies: &[PolicyKind],
-    geometries: &[(u64, u32)],
-    threads: usize,
-    source: crate::experiment::SuiteSource<'_>,
-) -> SweepResult {
-    run_sweep_with(specs, base, policies, geometries, threads, source, false)
-}
-
-/// [`run_sweep_from`] with per-lane BTB measurement optional.
-///
+/// Geometries fuse into one replay per workload when `threads <=
+/// specs.len()`; more threads split the lane grid for extra parallelism
+/// (see [`RunSpec::run`]). Per-point means are bit-identical either way.
 /// `measure_btb = false` is the classic Figure 7 sweep (per-lane BTBs
-/// skipped entirely — cheapest). `measure_btb = true` additionally
-/// scores each lane's BTB under the swept base configuration and fills
-/// [`SweepPoint::btb_means`], which the wide sampled sweeps use to score
-/// BTB geometries alongside I-cache ones.
+/// skipped — cheapest; the GHRP BTB policy never writes the shared
+/// predictor, so I-cache means are unaffected). `measure_btb = true`
+/// additionally scores each lane's BTB under the swept base
+/// configuration and fills [`SweepPoint::btb_means`], which the wide
+/// sampled sweeps use to score BTB geometries alongside I-cache ones.
 ///
 /// # Panics
 ///
-/// As [`run_sweep_from`].
+/// Panics if a geometry is invalid, on a corpus source that does not
+/// match `specs`, or if a worker panics.
 pub fn run_sweep_with(
     specs: &[WorkloadSpec],
     base: &SimConfig,
     policies: &[PolicyKind],
     geometries: &[(u64, u32)],
     threads: usize,
-    source: crate::experiment::SuiteSource<'_>,
+    source: SuiteSource<'_>,
     measure_btb: bool,
 ) -> SweepResult {
-    source.validate(specs);
-    let workers = schedule::resolve_threads(threads);
-    let nspecs = specs.len();
-    let ngeoms = geometries.len();
-    let npols = policies.len();
-    if ngeoms == 0 {
-        return SweepResult {
-            policies: policies.to_vec(),
-            points: Vec::new(),
-            scheduler: SchedulerStats::default(),
-        };
+    let icaches = sweep_icaches(base, geometries);
+    let grid = RunSpec {
+        specs,
+        base,
+        source,
+        geometries: &icaches,
+        policies,
+        measure_btb,
+        sampling: None,
     }
-    let icaches: Vec<CacheConfig> = geometries
-        .iter()
-        .map(|&(capacity, ways)| {
-            CacheConfig::with_capacity(capacity, ways, base.icache.block_bytes())
-                .expect("valid sweep geometry")
-        })
-        .collect();
-    // Fuse geometries into as few groups as the thread budget allows.
-    let ngroups = workers.div_ceil(nspecs.max(1)).clamp(1, ngeoms);
-    let group_bounds = crate::experiment::split_bounds(ngeoms, ngroups);
-
-    // Task t = group-major (g · nspecs + s): a worker's contiguous range
-    // stays within one geometry group, maximizing arena reuse.
-    let (group_results, scheduler) = schedule::run_grid(
-        ngroups * nspecs,
-        workers,
-        |_| EngineArena::new(),
-        |arena, t| {
-            let g = t / nspecs.max(1);
-            let s = t - g * nspecs.max(1);
-            let (lo, hi) = group_bounds[g];
-            match source {
-                crate::experiment::SuiteSource::Streamed => {
-                    let streamed = specs[s].streamed();
-                    run_lanes_multi(
-                        base,
-                        &icaches[lo..hi],
-                        policies,
-                        measure_btb,
-                        &streamed,
-                        arena,
-                    )
-                }
-                crate::experiment::SuiteSource::Corpus(corpus) => run_lanes_multi(
-                    base,
-                    &icaches[lo..hi],
-                    policies,
-                    measure_btb,
-                    corpus.trace(s),
-                    arena,
-                ),
-            }
-        },
-    );
-
-    let mut points = Vec::with_capacity(ngeoms);
-    for (gi, &(capacity, ways)) in geometries.iter().enumerate() {
-        // The group holding geometry gi, and its offset within the group.
-        let (g, (lo, _)) = group_bounds
-            .iter()
-            .enumerate()
-            .map(|(g, &b)| (g, b))
-            .find(|&(_, (lo, hi))| lo <= gi && gi < hi)
-            .unwrap_or((0, (0, 0)));
-        let icache_means = (0..npols)
-            .map(|p| {
-                // Accumulate in spec order: identical float-summation
-                // order to the unfused per-geometry suite path.
-                let column: Vec<f64> = (0..nspecs)
-                    .map(|s| group_results[g * nspecs + s][gi - lo][p].icache_mpki())
-                    .collect();
-                stats::mean(&column)
-            })
-            .collect();
-        let btb_means = (0..npols)
-            .map(|p| {
-                let column: Vec<f64> = (0..nspecs)
-                    .map(|s| group_results[g * nspecs + s][gi - lo][p].btb_mpki())
-                    .collect();
-                stats::mean(&column)
-            })
-            .collect();
-        points.push(SweepPoint {
-            capacity_bytes: capacity,
-            ways,
-            icache_means,
-            btb_means,
-        });
-    }
-    SweepResult {
-        policies: policies.to_vec(),
-        points,
-        scheduler,
-    }
+    .run(threads);
+    SweepResult::from_grid(geometries, policies, grid)
 }
 
 #[cfg(test)]
@@ -270,6 +192,24 @@ mod tests {
     use super::*;
     use crate::experiment::run_suite;
     use fe_trace::synth::{suite, WorkloadCategory};
+
+    fn streamed_sweep(
+        specs: &[WorkloadSpec],
+        base: &SimConfig,
+        policies: &[PolicyKind],
+        geometries: &[(u64, u32)],
+        threads: usize,
+    ) -> SweepResult {
+        run_sweep_with(
+            specs,
+            base,
+            policies,
+            geometries,
+            threads,
+            SuiteSource::Streamed,
+            false,
+        )
+    }
 
     #[test]
     fn paper_geometries_are_eight() {
@@ -286,7 +226,7 @@ mod tests {
             .filter(|s| s.category == WorkloadCategory::ShortServer)
             .map(|s| s.instructions(120_000))
             .collect();
-        let result = run_sweep(
+        let result = streamed_sweep(
             &specs,
             &SimConfig::paper_default(),
             &[PolicyKind::Lru],
@@ -313,7 +253,7 @@ mod tests {
         let cfg = SimConfig::paper_default();
         let pols = [PolicyKind::Lru, PolicyKind::Sdbp, PolicyKind::Ghrp];
         let geoms = [(8 * 1024, 4), (16 * 1024, 8), (64 * 1024, 8)];
-        let swept = run_sweep(&specs, &cfg, &pols, &geoms, 1);
+        let swept = streamed_sweep(&specs, &cfg, &pols, &geoms, 1);
         for (point, &(capacity, ways)) in swept.points.iter().zip(&geoms) {
             let icache = fe_cache::CacheConfig::with_capacity(capacity, ways, 64)
                 .expect("valid test geometry");
@@ -337,8 +277,8 @@ mod tests {
         let cfg = SimConfig::paper_default();
         let pols = [PolicyKind::Opt, PolicyKind::Lru];
         let geoms = [(8 * 1024, 4), (32 * 1024, 8)];
-        let serial = run_sweep(&specs, &cfg, &pols, &geoms, 1);
-        let parallel = run_sweep(&specs, &cfg, &pols, &geoms, 4);
+        let serial = streamed_sweep(&specs, &cfg, &pols, &geoms, 1);
+        let parallel = streamed_sweep(&specs, &cfg, &pols, &geoms, 4);
         assert_eq!(serial, parallel);
     }
 

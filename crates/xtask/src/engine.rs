@@ -162,6 +162,7 @@ pub fn is_hot_path(rel: &Path) -> bool {
         || s.ends_with("/trace/src/signature.rs")
         || s.ends_with("/trace/src/sample.rs")
         || s.ends_with("/frontend/src/sampled.rs")
+        || s.ends_with("/frontend/src/engine.rs")
 }
 
 /// Whether the file hosts the canonical mask/idx helpers (exempt from
@@ -210,6 +211,9 @@ mod tests {
         assert!(is_hot_path(Path::new("crates/trace/src/signature.rs")));
         assert!(is_hot_path(Path::new("crates/trace/src/sample.rs")));
         assert!(is_hot_path(Path::new("crates/frontend/src/sampled.rs")));
+        // The one replay loop and the run driver: every simulated record
+        // passes through the engine.
+        assert!(is_hot_path(Path::new("crates/frontend/src/engine.rs")));
         assert!(!is_hot_path(Path::new("crates/trace/src/io.rs")));
         assert!(!is_hot_path(Path::new("crates/frontend/src/sweep.rs")));
         assert!(!is_hot_path(Path::new("crates/bench/src/lib.rs")));

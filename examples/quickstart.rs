@@ -36,5 +36,5 @@ fn main() {
             r.branch_mpki()
         );
     }
-    println!("\nAcross a full suite GHRP gives the lowest average I-cache and BTB MPKI\n(single traces vary; see `cargo run -p fe-bench --bin headline`).");
+    println!("\nAcross a full suite GHRP gives the lowest average I-cache and BTB MPKI\n(single traces vary; see `cargo run -p fe-bench --bin report -- run headline`).");
 }

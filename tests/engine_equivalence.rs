@@ -1,6 +1,6 @@
 //! Property-based equivalence: the single-pass multi-policy engine must be
-//! bit-identical to the legacy one-`Simulator`-per-policy path on random
-//! workloads, random policy subsets, and both replay sources.
+//! bit-identical to the reference one-`Simulator`-per-policy path on
+//! random workloads, random policy subsets, and both replay sources.
 //!
 //! The engine shares one decoded fetch stream and one set of branch
 //! predictors across all lanes, so the property these tests pin down is
@@ -10,14 +10,16 @@
 
 #![forbid(unsafe_code)]
 
+use ghrp_repro::cache::CacheConfig;
 use ghrp_repro::frontend::engine::{run_lanes, SliceReplay};
-use ghrp_repro::frontend::experiment::{run_suite, run_suite_from, run_trace, run_trace_legacy};
+use ghrp_repro::frontend::experiment::{run_suite, run_suite_from, TraceRow};
 use ghrp_repro::frontend::policy::BasePolicy;
 use ghrp_repro::frontend::simulator::WrongPathConfig;
-use ghrp_repro::frontend::sweep::{run_sweep, run_sweep_from};
-use ghrp_repro::frontend::{PolicyKind, SimConfig, Simulator, SuiteSource};
+use ghrp_repro::frontend::stats::mean;
+use ghrp_repro::frontend::sweep::run_sweep_with;
+use ghrp_repro::frontend::{PolicyKind, RunResult, SimConfig, Simulator, SuiteSource};
 use ghrp_repro::trace::corpus::{Corpus, CorpusBuilder, SuiteCorpus};
-use ghrp_repro::trace::synth::{suite, WorkloadCategory, WorkloadSpec};
+use ghrp_repro::trace::synth::{suite, SyntheticTrace, WorkloadCategory, WorkloadSpec};
 use proptest::prelude::*;
 
 /// The online policies the engine races in one pass. OPT joins via its own
@@ -54,6 +56,24 @@ fn arb_policies() -> impl Strategy<Value = Vec<PolicyKind>> {
             .map(|(_, &p)| p)
             .collect()
     })
+}
+
+/// Geometries a sweep may cover, at `SimConfig::paper_default`'s 64-byte
+/// blocks.
+const SWEEP_GEOMETRIES: [(u64, u32); 4] = [
+    (8 * 1024, 4),
+    (16 * 1024, 8),
+    (32 * 1024, 2),
+    (64 * 1024, 8),
+];
+
+/// Encode `traces` into a shared in-memory corpus.
+fn corpus_of(traces: &[SyntheticTrace]) -> SuiteCorpus {
+    let mut builder = CorpusBuilder::new();
+    for trace in traces {
+        builder.push_synthetic(trace).expect("encode");
+    }
+    SuiteCorpus::from_corpus(&Corpus::from_bytes(builder.finish()).expect("verified corpus"))
 }
 
 /// A small but non-trivial workload: long enough to fill the caches and
@@ -126,16 +146,84 @@ proptest! {
         prop_assert_eq!(from_slice, from_stream);
     }
 
-    /// The public experiment row built from the engine matches the legacy
-    /// multi-pass row for the full seven-policy set.
+    /// A one-trace suite row equals the row rebuilt from one standalone
+    /// `Simulator::run` per policy, for the full seven-policy set.
     #[test]
-    fn run_trace_matches_legacy_row(
+    fn suite_row_matches_standalone_runs(
         spec in arb_spec(),
         base in arb_config(),
     ) {
-        let engine = run_trace(&spec, &base, &ONLINE);
-        let legacy = run_trace_legacy(&spec, &base, &ONLINE);
-        prop_assert_eq!(engine, legacy);
+        let suite = run_suite(std::slice::from_ref(&spec), &base, &ONLINE, 1);
+        let trace = spec.generate();
+        let runs: Vec<RunResult> = ONLINE
+            .iter()
+            .map(|&p| Simulator::new(base.with_policy(p)).run(&trace.records, trace.instructions))
+            .collect();
+        let standalone = TraceRow {
+            name: spec.name.clone(),
+            category: spec.category,
+            instructions: runs[0].instructions,
+            icache_mpki: runs.iter().map(RunResult::icache_mpki).collect(),
+            btb_mpki: runs.iter().map(RunResult::btb_mpki).collect(),
+            branch_mpki: runs[0].branch_mpki(),
+        };
+        prop_assert_eq!(&suite.rows[0], &standalone);
+    }
+
+    /// The run driver against the independent reference loop: every
+    /// sweep point's means equal the mean of per-trace `Simulator::run`
+    /// MPKIs bit for bit, for random geometry subsets and policy sets, at
+    /// any thread count (more threads than traces splits the lane grid),
+    /// from either replay source, with BTBs measured or skipped.
+    #[test]
+    fn sweep_means_match_standalone_runs(
+        seed in 0u64..1000,
+        ntraces in 1usize..=3,
+        instr in 8_000u64..16_000,
+        geometry_mask in 1u8..16,
+        policies in arb_policies(),
+        threads in 1usize..=8,
+        from_corpus in any::<bool>(),
+        measure_btb in any::<bool>(),
+    ) {
+        let specs: Vec<WorkloadSpec> = suite(ntraces, seed)
+            .into_iter()
+            .map(|s| s.instructions(instr))
+            .collect();
+        let traces: Vec<SyntheticTrace> = specs.iter().map(WorkloadSpec::generate).collect();
+        let geometries: Vec<(u64, u32)> = SWEEP_GEOMETRIES
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| geometry_mask >> i & 1 == 1)
+            .map(|(_, &g)| g)
+            .collect();
+        let corpus = from_corpus.then(|| corpus_of(&traces));
+        let source = corpus.as_ref().map_or(SuiteSource::Streamed, SuiteSource::Corpus);
+        let base = SimConfig::paper_default();
+        let sweep =
+            run_sweep_with(&specs, &base, &policies, &geometries, threads, source, measure_btb);
+        prop_assert_eq!(sweep.points.len(), geometries.len());
+        for (point, &(capacity, ways)) in sweep.points.iter().zip(&geometries) {
+            let icache = CacheConfig::with_capacity(capacity, ways, base.icache.block_bytes())
+                .expect("valid test geometry");
+            for (p, &policy) in policies.iter().enumerate() {
+                let runs: Vec<RunResult> = traces
+                    .iter()
+                    .map(|t| {
+                        Simulator::new(base.with_policy(policy).with_icache(icache))
+                            .run(&t.records, t.instructions)
+                    })
+                    .collect();
+                let icache_mpki: Vec<f64> = runs.iter().map(RunResult::icache_mpki).collect();
+                prop_assert_eq!(point.icache_means[p].to_bits(), mean(&icache_mpki).to_bits());
+                let btb_mean = if measure_btb {
+                    mean(&runs.iter().map(RunResult::btb_mpki).collect::<Vec<_>>())
+                } else {
+                    0.0
+                };
+                prop_assert_eq!(point.btb_means[p].to_bits(), btb_mean.to_bits());
+            }
+        }
     }
 
     /// A corpus round-trip is replay-transparent to the engine: encoding
@@ -227,7 +315,7 @@ fn corpus_suite_and_sweep_match_streamed_across_threads() {
     let geoms = [(8 * 1024, 4), (32 * 1024, 8)];
 
     let suite_ref = run_suite(&specs, &cfg, &pols, 1);
-    let sweep_ref = run_sweep(&specs, &cfg, &pols, &geoms, 1);
+    let sweep_ref = run_sweep_with(&specs, &cfg, &pols, &geoms, 1, SuiteSource::Streamed, false);
     for threads in 1..=8 {
         let from_corpus =
             run_suite_from(&specs, &cfg, &pols, threads, SuiteSource::Corpus(&shared));
@@ -235,13 +323,14 @@ fn corpus_suite_and_sweep_match_streamed_across_threads() {
             from_corpus, suite_ref,
             "suite diverged from streamed replay at {threads} threads"
         );
-        let swept = run_sweep_from(
+        let swept = run_sweep_with(
             &specs,
             &cfg,
             &pols,
             &geoms,
             threads,
             SuiteSource::Corpus(&shared),
+            false,
         );
         assert_eq!(
             swept, sweep_ref,
