@@ -168,6 +168,15 @@ impl Experiment for Headroom {
                 (1.0 - opt.icache_mpki() / lru.icache_mpki()) * 100.0,
                 lru.btb_mpki(), opt.btb_mpki(),
             );
+            for (key, value) in [
+                ("icache_lru", lru.icache_mpki()),
+                ("icache_srrip", srrip.icache_mpki()),
+                ("icache_opt", opt.icache_mpki()),
+                ("btb_lru", lru.btb_mpki()),
+                ("btb_opt", opt.btb_mpki()),
+            ] {
+                out.metrics.insert(format!("{key}_{seed}"), value);
+            }
         }
         out
     }
@@ -360,6 +369,16 @@ impl Experiment for OraclePolicy {
                 ghrp.icache_mpki(),
                 opt.icache_mpki(),
             );
+            for (key, value) in [
+                ("misses_lru", lru_misses as f64),
+                ("misses_perfect", oracle_misses as f64),
+                ("misses_sig_majority", sig_misses as f64),
+                ("icache_lru", lru_sim.icache_mpki()),
+                ("icache_ghrp", ghrp.icache_mpki()),
+                ("icache_opt", opt.icache_mpki()),
+            ] {
+                out.metrics.insert(format!("{key}_{seed}"), value);
+            }
         }
         out
     }
@@ -381,7 +400,8 @@ impl Experiment for ScaleTest {
     fn render(&self, rctx: &RenderCtx<'_>) -> ExperimentOutput {
         let base = rctx.ctx.instr.unwrap_or(4_000_000);
         let mut out = ExperimentOutput::default();
-        for instr in [base, base * 2, base * 4, base * 8] {
+        for scale in [1, 2, 4, 8] {
+            let instr = base * scale;
             let (mut lsum, mut gsum, mut lb, mut gb) = (0.0, 0.0, 0.0, 0.0);
             for seed in [1237u64, 1239, 1243] {
                 let spec =
@@ -406,6 +426,14 @@ impl Experiment for ScaleTest {
                 instr, lsum / 3.0, gsum / 3.0, (gsum - lsum) / lsum * 100.0,
                 lb / 3.0, gb / 3.0, (gb - lb) / lb * 100.0
             );
+            for (key, value) in [
+                ("icache_lru", lsum / 3.0),
+                ("icache_ghrp", gsum / 3.0),
+                ("btb_lru", lb / 3.0),
+                ("btb_ghrp", gb / 3.0),
+            ] {
+                out.metrics.insert(format!("{key}_x{scale}"), value);
+            }
         }
         out
     }
@@ -455,6 +483,8 @@ impl Experiment for TuneGhrp {
             out.stdout,
             "LRU mean: icache {lru_icache_mean:.3} btb {lru_btb_mean:.3}"
         );
+        out.metrics.insert("icache_lru".to_owned(), lru_icache_mean);
+        out.metrics.insert("btb_lru".to_owned(), lru_btb_mean);
 
         let combos: &[(bool, bool, u8, bool)] = &[
             (true, true, 1, true),
@@ -487,6 +517,14 @@ impl Experiment for TuneGhrp {
                 bsum / n,
                 (bsum / n - lru_btb_mean) / lru_btb_mean * 100.0
             );
+            let combo = format!(
+                "mru{}_byp{}_thr{btb_thr}_shadow{}",
+                u8::from(protect_mru),
+                u8::from(btb_byp),
+                u8::from(shadow)
+            );
+            out.metrics.insert(format!("icache_{combo}"), isum / n);
+            out.metrics.insert(format!("btb_{combo}"), bsum / n);
         }
         out
     }
