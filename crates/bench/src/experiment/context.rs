@@ -16,6 +16,7 @@
 #![forbid(unsafe_code)]
 
 use fe_frontend::sampled::SampleParams;
+use fe_frontend::schedule::resolve_threads;
 use fe_frontend::simulator::SimConfig;
 use fe_trace::synth::WorkloadSpec;
 use std::path::PathBuf;
@@ -47,7 +48,8 @@ pub struct RunContext {
     pub traces: Option<usize>,
     /// `--seed S` — suite base seed (default 1234).
     pub seed: Option<u64>,
-    /// `--threads T` — worker threads (default: available parallelism).
+    /// `--threads T` — worker threads (default and `0`: available
+    /// parallelism).
     pub threads: Option<usize>,
     /// `--instr N` — per-trace instruction override (default: per
     /// workload category).
@@ -93,11 +95,11 @@ impl RunContext {
         self.seed.unwrap_or(Self::DEFAULT_SEED)
     }
 
-    /// Effective worker-thread count.
+    /// Effective worker-thread count: `--threads T` as
+    /// [`resolve_threads`] reads it, so no flag and `--threads 0` both
+    /// mean every available hardware thread (1 when that is unknown).
     pub fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(4, std::num::NonZero::get)
-        })
+        resolve_threads(self.threads.unwrap_or(0))
     }
 
     /// Effective artifact directory.
@@ -219,6 +221,23 @@ mod tests {
         assert_eq!(ctx.out(), PathBuf::from("results"));
         assert_eq!(ctx.corpus_dir(), PathBuf::from("results").join("corpus"));
         assert!(ctx.instr.is_none());
+    }
+
+    #[test]
+    fn threads_follow_the_scheduler_fallback() {
+        let hw = resolve_threads(0);
+        assert!(hw >= 1);
+        assert_eq!(RunContext::default().threads(), hw);
+        let zero = RunContext {
+            threads: Some(0),
+            ..RunContext::default()
+        };
+        assert_eq!(zero.threads(), hw);
+        let three = RunContext {
+            threads: Some(3),
+            ..RunContext::default()
+        };
+        assert_eq!(three.threads(), 3);
     }
 
     #[test]

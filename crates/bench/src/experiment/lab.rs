@@ -13,12 +13,12 @@
 
 use fe_cache::{AccessContext, Cache, CacheConfig, ReplacementPolicy};
 use fe_frontend::engine::{run_lanes, SliceReplay};
-use fe_frontend::policy::BasePolicy;
+use fe_frontend::policy::{build_pair, BasePolicy};
 use fe_frontend::sampled::{run_sweep_sampled, SampleParams};
-use fe_frontend::schedule::SchedulerStats;
+use fe_frontend::schedule::{run_tasks, SchedulerStats};
 use fe_frontend::simulator::SimConfig;
 use fe_frontend::sweep::run_sweep_with;
-use fe_frontend::{experiment as fe_experiment, policy::PolicyKind, sweep, Simulator};
+use fe_frontend::{experiment as fe_experiment, policy::PolicyKind, sweep};
 use fe_trace::fetch::FetchStream;
 use fe_trace::synth::{WorkloadCategory, WorkloadSpec};
 use fe_trace::{BranchRecord, TraceStats};
@@ -149,31 +149,35 @@ impl Experiment for Headroom {
         Vec::new()
     }
     fn render(&self, rctx: &RenderCtx<'_>) -> ExperimentOutput {
+        const SEEDS: [u64; 4] = [1235, 1237, 1239, 1241];
         let instr = rctx.ctx.instr.unwrap_or(2_000_000);
+        let specs: Vec<WorkloadSpec> = SEEDS
+            .iter()
+            .map(|&seed| WorkloadSpec::new(WorkloadCategory::ShortServer, seed).instructions(instr))
+            .collect();
+        let pols = [PolicyKind::Lru, PolicyKind::Opt, PolicyKind::Srrip];
+        let suite = fe_experiment::run_suite(
+            &specs,
+            &SimConfig::paper_default(),
+            &pols,
+            rctx.ctx.threads(),
+        );
         let mut out = ExperimentOutput::default();
-        for seed in [1235u64, 1237, 1239, 1241] {
-            let spec = WorkloadSpec::new(WorkloadCategory::ShortServer, seed).instructions(instr);
-            let t = spec.generate();
-            let run = |p: PolicyKind| {
-                Simulator::new(SimConfig::paper_default().with_policy(p))
-                    .run(&t.records, t.instructions)
-            };
-            let lru = run(PolicyKind::Lru);
-            let opt = run(PolicyKind::Opt);
-            let srrip = run(PolicyKind::Srrip);
+        for ((seed, spec), row) in SEEDS.iter().zip(&specs).zip(&suite.rows) {
+            let [lru, opt, srrip] = [0, 1, 2].map(|p| (row.icache_mpki[p], row.btb_mpki[p]));
             let _ = writeln!(
                 out.stdout,
                 "{}: LRU {:.3}  SRRIP {:.3}  OPT {:.3}  (OPT saves {:.1}% of LRU misses) | btb LRU {:.3} OPT {:.3}",
-                spec.name, lru.icache_mpki(), srrip.icache_mpki(), opt.icache_mpki(),
-                (1.0 - opt.icache_mpki() / lru.icache_mpki()) * 100.0,
-                lru.btb_mpki(), opt.btb_mpki(),
+                spec.name, lru.0, srrip.0, opt.0,
+                (1.0 - opt.0 / lru.0) * 100.0,
+                lru.1, opt.1,
             );
             for (key, value) in [
-                ("icache_lru", lru.icache_mpki()),
-                ("icache_srrip", srrip.icache_mpki()),
-                ("icache_opt", opt.icache_mpki()),
-                ("btb_lru", lru.btb_mpki()),
-                ("btb_opt", opt.btb_mpki()),
+                ("icache_lru", lru.0),
+                ("icache_srrip", srrip.0),
+                ("icache_opt", opt.0),
+                ("btb_lru", lru.1),
+                ("btb_opt", opt.1),
             ] {
                 out.metrics.insert(format!("{key}_{seed}"), value);
             }
@@ -232,6 +236,19 @@ impl ReplacementPolicy for OracleDead {
     }
 }
 
+impl OracleDead {
+    fn new(labels: Vec<bool>, cfg: CacheConfig) -> OracleDead {
+        OracleDead {
+            labels,
+            cursor: 0,
+            ways: cfg.ways() as usize,
+            stamps: vec![0; cfg.frames()],
+            clock: 0,
+            dead_bit: vec![false; cfg.frames()],
+        }
+    }
+}
+
 fn labels_for(blocks: &[u64], cfg: CacheConfig) -> Vec<bool> {
     let ways = cfg.ways() as usize;
     let mut labels = vec![true; blocks.len()];
@@ -268,6 +285,76 @@ fn labels_for(blocks: &[u64], cfg: CacheConfig) -> Vec<bool> {
 /// Mechanism ceiling test over six server traces.
 pub struct OraclePolicy;
 
+/// One trace's `oracle_policy` figures.
+struct OracleRow {
+    name: String,
+    /// Whole-trace block-stream misses: LRU, perfect last-touch oracle,
+    /// per-signature-majority oracle.
+    misses: [u64; 3],
+    /// Post-warm-up I-cache MPKI: LRU, GHRP, OPT.
+    mpki: [f64; 3],
+}
+
+/// Misses of a fresh `cfg` cache under `policy` over a block stream.
+fn block_misses<P: ReplacementPolicy>(cfg: CacheConfig, policy: P, blocks: &[u64]) -> u64 {
+    let mut c = Cache::new(cfg, policy);
+    for &b in blocks {
+        c.access(b, b);
+    }
+    c.stats().misses
+}
+
+fn oracle_row(seed: u64, instr: u64) -> OracleRow {
+    let spec = WorkloadSpec::new(WorkloadCategory::ShortServer, seed).instructions(instr);
+    let t = spec.generate();
+    let cfg =
+        CacheConfig::with_capacity(64 * 1024, 8, 64).expect("64KB/8-way/64B is a valid geometry");
+    let blocks: Vec<u64> = FetchStream::new(t.records.iter().copied(), 64)
+        .filter(|c| c.starts_group)
+        .map(|c| c.block_addr)
+        .collect();
+    let labels = labels_for(&blocks, cfg);
+    // Per-signature-majority labels: the feature ceiling an online
+    // per-signature predictor could reach.
+    let mut hist: u64 = 0;
+    let mut sigs = vec![0u16; blocks.len()];
+    for (i, &b) in blocks.iter().enumerate() {
+        let pc = b >> 6;
+        sigs[i] = ((hist ^ pc) & 0xFFFF) as u16;
+        hist = ((hist << 4) | ((pc & 0x7) << 1)) & 0xFFFF;
+    }
+    let mut counts: HashMap<u16, (u32, u32)> = HashMap::new();
+    for (s, &d) in sigs.iter().zip(&labels) {
+        let e = counts.entry(*s).or_default();
+        if d {
+            e.0 += 1;
+        } else {
+            e.1 += 1;
+        }
+    }
+    let sig_labels: Vec<bool> = sigs
+        .iter()
+        .map(|s| {
+            let (d, l) = counts[s];
+            d > l
+        })
+        .collect();
+    let oracle_misses = block_misses(cfg, OracleDead::new(labels, cfg), &blocks);
+    let sig_misses = block_misses(cfg, OracleDead::new(sig_labels, cfg), &blocks);
+    // Like-for-like: plain LRU over the same whole-trace block stream.
+    let lru_misses = block_misses(cfg, fe_cache::policy::Lru::new(cfg), &blocks);
+    let lanes = run_lanes(
+        &SimConfig::paper_default(),
+        &[PolicyKind::Lru, PolicyKind::Ghrp, PolicyKind::Opt],
+        &SliceReplay::from_trace(&t),
+    );
+    OracleRow {
+        name: spec.name,
+        misses: [lru_misses, oracle_misses, sig_misses],
+        mpki: [0, 1, 2].map(|p| lanes[p].icache_mpki()),
+    }
+}
+
 impl Experiment for OraclePolicy {
     fn name(&self) -> &'static str {
         "oracle_policy"
@@ -278,104 +365,39 @@ impl Experiment for OraclePolicy {
     fn requirements(&self, _ctx: &RunContext) -> Vec<SimRequest> {
         Vec::new()
     }
-    #[allow(clippy::too_many_lines)]
     fn render(&self, rctx: &RenderCtx<'_>) -> ExperimentOutput {
+        const SEEDS: [u64; 6] = [1235, 1237, 1239, 1241, 1243, 1245];
         let instr = rctx.ctx.instr.unwrap_or(2_000_000);
+        let rows = run_tasks(
+            SEEDS.len(),
+            rctx.ctx.threads(),
+            |_| (),
+            |(), i| oracle_row(SEEDS[i], instr),
+        );
         let mut out = ExperimentOutput::default();
-        for seed in [1235u64, 1237, 1239, 1241, 1243, 1245] {
-            let spec = WorkloadSpec::new(WorkloadCategory::ShortServer, seed).instructions(instr);
-            let t = spec.generate();
-            let cfg = CacheConfig::with_capacity(64 * 1024, 8, 64)
-                .expect("64KB/8-way/64B is a valid geometry");
-            let blocks: Vec<u64> = FetchStream::new(t.records.iter().copied(), 64)
-                .filter(|c| c.starts_group)
-                .map(|c| c.block_addr)
-                .collect();
-            let labels = labels_for(&blocks, cfg);
-            // Per-signature-majority labels: the feature ceiling an online
-            // per-signature predictor could reach.
-            let mut hist: u64 = 0;
-            let mut sigs = vec![0u16; blocks.len()];
-            for (i, &b) in blocks.iter().enumerate() {
-                let pc = b >> 6;
-                sigs[i] = ((hist ^ pc) & 0xFFFF) as u16;
-                hist = ((hist << 4) | ((pc & 0x7) << 1)) & 0xFFFF;
-            }
-            let mut counts: HashMap<u16, (u32, u32)> = HashMap::new();
-            for (s, &d) in sigs.iter().zip(&labels) {
-                let e = counts.entry(*s).or_default();
-                if d {
-                    e.0 += 1;
-                } else {
-                    e.1 += 1;
-                }
-            }
-            let sig_labels: Vec<bool> = sigs
-                .iter()
-                .map(|s| {
-                    let (d, l) = counts[s];
-                    d > l
-                })
-                .collect();
-            let oracle = OracleDead {
-                labels,
-                cursor: 0,
-                ways: cfg.ways() as usize,
-                stamps: vec![0; cfg.frames()],
-                clock: 0,
-                dead_bit: vec![false; cfg.frames()],
-            };
-            let mut c = Cache::new(cfg, oracle);
-            for &b in &blocks {
-                c.access(b, b);
-            }
-            let oracle_misses = c.stats().misses;
-            let sig_oracle = OracleDead {
-                labels: sig_labels,
-                cursor: 0,
-                ways: cfg.ways() as usize,
-                stamps: vec![0; cfg.frames()],
-                clock: 0,
-                dead_bit: vec![false; cfg.frames()],
-            };
-            let mut c2 = Cache::new(cfg, sig_oracle);
-            for &b in &blocks {
-                c2.access(b, b);
-            }
-            let sig_misses = c2.stats().misses;
-            // Like-for-like: plain LRU over the same whole-trace block stream.
-            let mut lru_cache = Cache::new(cfg, fe_cache::policy::Lru::new(cfg));
-            for &b in &blocks {
-                lru_cache.access(b, b);
-            }
-            let lru_misses = lru_cache.stats().misses;
-            let run = |p: PolicyKind| {
-                Simulator::new(SimConfig::paper_default().with_policy(p))
-                    .run(&t.records, t.instructions)
-            };
-            let ghrp = run(PolicyKind::Ghrp);
-            let lru_sim = run(PolicyKind::Lru);
-            let opt = run(PolicyKind::Opt);
+        for (seed, row) in SEEDS.iter().zip(&rows) {
+            let [lru_misses, oracle_misses, sig_misses] = row.misses;
+            let [lru, ghrp, opt] = row.mpki;
             let _ = writeln!(
                 out.stdout,
                 "{}: misses LRU {} perfect {} ({:+.1}%) sig-majority {} ({:+.1}%) | postwarm MPKI LRU {:.3} GHRP {:.3} OPT {:.3}",
-                spec.name,
+                row.name,
                 lru_misses,
                 oracle_misses,
                 (oracle_misses as f64 - lru_misses as f64) / lru_misses as f64 * 100.0,
                 sig_misses,
                 (sig_misses as f64 - lru_misses as f64) / lru_misses as f64 * 100.0,
-                lru_sim.icache_mpki(),
-                ghrp.icache_mpki(),
-                opt.icache_mpki(),
+                lru,
+                ghrp,
+                opt,
             );
             for (key, value) in [
                 ("misses_lru", lru_misses as f64),
                 ("misses_perfect", oracle_misses as f64),
                 ("misses_sig_majority", sig_misses as f64),
-                ("icache_lru", lru_sim.icache_mpki()),
-                ("icache_ghrp", ghrp.icache_mpki()),
-                ("icache_opt", opt.icache_mpki()),
+                ("icache_lru", lru),
+                ("icache_ghrp", ghrp),
+                ("icache_opt", opt),
             ] {
                 out.metrics.insert(format!("{key}_{seed}"), value);
             }
@@ -398,27 +420,38 @@ impl Experiment for ScaleTest {
         Vec::new()
     }
     fn render(&self, rctx: &RenderCtx<'_>) -> ExperimentOutput {
+        const SCALES: [u64; 4] = [1, 2, 4, 8];
+        const SEEDS: [u64; 3] = [1237, 1239, 1243];
         let base = rctx.ctx.instr.unwrap_or(4_000_000);
+        let specs: Vec<WorkloadSpec> = SCALES
+            .iter()
+            .flat_map(|&scale| {
+                SEEDS.iter().map(move |&seed| {
+                    WorkloadSpec::new(WorkloadCategory::ShortServer, seed)
+                        .instructions(base * scale)
+                })
+            })
+            .collect();
+        let mut cfg = SimConfig::paper_default();
+        cfg.ghrp.counter_bits = 3;
+        cfg.ghrp.dead_threshold = 1;
+        cfg.ghrp.bypass_threshold = 7;
+        cfg.ghrp.btb_dead_threshold = 1;
+        let suite = fe_experiment::run_suite(
+            &specs,
+            &cfg,
+            &[PolicyKind::Lru, PolicyKind::Ghrp],
+            rctx.ctx.threads(),
+        );
         let mut out = ExperimentOutput::default();
-        for scale in [1, 2, 4, 8] {
+        for (scale, rows) in SCALES.iter().zip(suite.rows.chunks(SEEDS.len())) {
             let instr = base * scale;
             let (mut lsum, mut gsum, mut lb, mut gb) = (0.0, 0.0, 0.0, 0.0);
-            for seed in [1237u64, 1239, 1243] {
-                let spec =
-                    WorkloadSpec::new(WorkloadCategory::ShortServer, seed).instructions(instr);
-                let t = spec.generate();
-                let mut cfg = SimConfig::paper_default();
-                cfg.ghrp.counter_bits = 3;
-                cfg.ghrp.dead_threshold = 1;
-                cfg.ghrp.bypass_threshold = 7;
-                cfg.ghrp.btb_dead_threshold = 1;
-                let lru = Simulator::new(cfg).run(&t.records, t.instructions);
-                let ghrp = Simulator::new(cfg.with_policy(PolicyKind::Ghrp))
-                    .run(&t.records, t.instructions);
-                lsum += lru.icache_mpki();
-                gsum += ghrp.icache_mpki();
-                lb += lru.btb_mpki();
-                gb += ghrp.btb_mpki();
+            for row in rows {
+                lsum += row.icache_mpki[0];
+                gsum += row.icache_mpki[1];
+                lb += row.btb_mpki[0];
+                gb += row.btb_mpki[1];
             }
             let _ = writeln!(
                 out.stdout,
@@ -468,24 +501,6 @@ impl Experiment for TuneGhrp {
                 .instructions(instr)
             })
             .collect();
-        let traces: Vec<_> = specs.iter().map(fe_trace::WorkloadSpec::generate).collect();
-        let lru: Vec<(f64, f64)> = traces
-            .iter()
-            .map(|t| {
-                let r = Simulator::new(SimConfig::paper_default()).run(&t.records, t.instructions);
-                (r.icache_mpki(), r.btb_mpki())
-            })
-            .collect();
-        let n = traces.len() as f64;
-        let lru_icache_mean: f64 = lru.iter().map(|x| x.0).sum::<f64>() / n;
-        let lru_btb_mean: f64 = lru.iter().map(|x| x.1).sum::<f64>() / n;
-        let _ = writeln!(
-            out.stdout,
-            "LRU mean: icache {lru_icache_mean:.3} btb {lru_btb_mean:.3}"
-        );
-        out.metrics.insert("icache_lru".to_owned(), lru_icache_mean);
-        out.metrics.insert("btb_lru".to_owned(), lru_btb_mean);
-
         let combos: &[(bool, bool, u8, bool)] = &[
             (true, true, 1, true),
             (true, false, 1, true),
@@ -493,21 +508,45 @@ impl Experiment for TuneGhrp {
             (true, true, 2, true),
             (true, true, 1, false),
         ];
-        for &(protect_mru, btb_byp, btb_thr, shadow) in combos {
-            let mut cfg = SimConfig::paper_default().with_policy(PolicyKind::Ghrp);
-            cfg.ghrp.table_entries = 16384;
-            cfg.ghrp.counter_bits = 4;
-            cfg.ghrp.dead_threshold = 1;
-            cfg.ghrp.bypass_threshold = 15;
-            cfg.ghrp.btb_dead_threshold = btb_thr;
-            cfg.ghrp.protect_mru = protect_mru;
-            cfg.ghrp.btb_enable_bypass = btb_byp;
-            cfg.ghrp.shadow_training = shadow;
+        let runs: Vec<fe_frontend::SuiteResult> = combos
+            .iter()
+            .enumerate()
+            .map(|(i, &(protect_mru, btb_byp, btb_thr, shadow))| {
+                let mut cfg = SimConfig::paper_default();
+                cfg.ghrp.table_entries = 16384;
+                cfg.ghrp.counter_bits = 4;
+                cfg.ghrp.dead_threshold = 1;
+                cfg.ghrp.bypass_threshold = 15;
+                cfg.ghrp.btb_dead_threshold = btb_thr;
+                cfg.ghrp.protect_mru = protect_mru;
+                cfg.ghrp.btb_enable_bypass = btb_byp;
+                cfg.ghrp.shadow_training = shadow;
+                // LRU ignores the GHRP knobs, so the baseline rides as a
+                // second lane of the first configuration's pass.
+                let pols: &[PolicyKind] = if i == 0 {
+                    &[PolicyKind::Ghrp, PolicyKind::Lru]
+                } else {
+                    &[PolicyKind::Ghrp]
+                };
+                fe_experiment::run_suite(&specs, &cfg, pols, rctx.ctx.threads())
+            })
+            .collect();
+
+        let n = specs.len() as f64;
+        let lru_icache_mean: f64 = runs[0].rows.iter().map(|r| r.icache_mpki[1]).sum::<f64>() / n;
+        let lru_btb_mean: f64 = runs[0].rows.iter().map(|r| r.btb_mpki[1]).sum::<f64>() / n;
+        let _ = writeln!(
+            out.stdout,
+            "LRU mean: icache {lru_icache_mean:.3} btb {lru_btb_mean:.3}"
+        );
+        out.metrics.insert("icache_lru".to_owned(), lru_icache_mean);
+        out.metrics.insert("btb_lru".to_owned(), lru_btb_mean);
+
+        for (&(protect_mru, btb_byp, btb_thr, shadow), run) in combos.iter().zip(&runs) {
             let (mut isum, mut bsum) = (0.0, 0.0);
-            for t in &traces {
-                let r = Simulator::new(cfg).run(&t.records, t.instructions);
-                isum += r.icache_mpki();
-                bsum += r.btb_mpki();
+            for row in &run.rows {
+                isum += row.icache_mpki[0];
+                bsum += row.btb_mpki[0];
             }
             let _ = writeln!(
                 out.stdout,
@@ -890,8 +929,6 @@ impl Experiment for EngineProfile {
     }
 }
 
-/// Sampled-replay fidelity lab: sweep sampling configurations and pin
-/// the sampled-vs-full MPKI drift per workload category.
 /// Dynamic-selection lab: static candidates versus the set-dueling
 /// hybrids (`duel(...)` and `phase(...)`) on mixed and phase-shifting
 /// synthetic workloads.
@@ -965,51 +1002,140 @@ fn dynsel_cfg(policy: PolicyKind) -> SimConfig {
     cfg
 }
 
-/// Materialize a workload's phases at `phase_instr` instructions each.
-fn dynsel_phases(
-    base_seed: u64,
-    offsets: &[u64],
-    phase_instr: u64,
-) -> (Vec<Vec<BranchRecord>>, Vec<u64>) {
-    let mut recs = Vec::new();
-    let mut instrs = Vec::new();
-    for &off in offsets {
-        let t = WorkloadSpec::new(WorkloadCategory::ShortServer, base_seed.wrapping_add(off))
-            .instructions(phase_instr)
-            .generate();
-        recs.push(t.records);
-        instrs.push(t.instructions);
-    }
-    (recs, instrs)
+/// A workload's phases, concatenated into one record stream.
+#[derive(Debug, Default)]
+struct DynselTrace {
+    records: Vec<BranchRecord>,
+    /// Records up to and including each phase (exclusive end index).
+    phase_ends: Vec<usize>,
+    /// Instructions of each phase's walk.
+    phase_instrs: Vec<u64>,
 }
 
-/// Per-phase best-static oracle misses, measured *in context*: each
-/// static replays every prefix of the phase schedule, and the miss
-/// delta contributed by phase `k` is prefix(k) - prefix(k-1), so warm
-/// cache state and predictor history carry across phase boundaries
-/// exactly as they do for the hybrid lanes.
-fn dynsel_oracle_misses(recs: &[Vec<BranchRecord>], instrs: &[u64]) -> u64 {
-    let mut per_policy: Vec<Vec<u64>> = Vec::new();
-    for &p in &DYNSEL_STATICS {
-        let mut deltas = Vec::new();
-        let mut prev = 0u64;
-        for k in 1..=recs.len() {
-            let prefix: Vec<BranchRecord> = recs[..k].iter().flatten().copied().collect();
-            let total: u64 = instrs[..k].iter().sum();
-            let lanes = run_lanes(&dynsel_cfg(p), &[p], &SliceReplay::new(&prefix, total));
-            let misses = lanes[0].icache.misses;
-            deltas.push(misses - prev);
-            prev = misses;
-        }
-        per_policy.push(deltas);
+impl DynselTrace {
+    /// Append one [`WorkloadCategory::ShortServer`] phase of `instr`
+    /// instructions generated at `seed`.
+    fn push_phase(&mut self, seed: u64, instr: u64) {
+        let t = WorkloadSpec::new(WorkloadCategory::ShortServer, seed)
+            .instructions(instr)
+            .generate();
+        self.records.extend_from_slice(&t.records);
+        self.phase_ends.push(self.records.len());
+        self.phase_instrs.push(t.instructions);
     }
-    (0..recs.len())
-        .map(|phase| {
-            per_policy
-                .iter()
-                .map(|deltas| deltas[phase])
+}
+
+/// Materialize a workload's phases at `phase_instr` instructions each.
+fn dynsel_phases(base_seed: u64, offsets: &[u64], phase_instr: u64) -> DynselTrace {
+    let mut trace = DynselTrace::default();
+    for &off in offsets {
+        trace.push_phase(base_seed.wrapping_add(off), phase_instr);
+    }
+    trace
+}
+
+const NSTATICS: usize = DYNSEL_STATICS.len();
+
+/// Measured I-cache misses of every static candidate (in
+/// [`DYNSEL_STATICS`] order) on every prefix of `trace`'s phase
+/// schedule: entry `k` holds what a full replay of phases `0..=k` alone
+/// measures, i.e. the misses after that prefix's own warm-up (the first
+/// half of its instructions, capped, §IV.C).
+///
+/// One pass serves every prefix. A prefix's replay is the start of the
+/// whole schedule's replay, so its measured misses are the cumulative
+/// misses at the end of its last phase minus the cumulative misses where
+/// its warm-up ends (after the first fetch chunk reaching the warm-up
+/// length, as in the engine). The pass drives only each candidate's
+/// I-cache with the demand fetch groups, which is the whole I-cache
+/// stream exactly when there is no wrong-path injection and no
+/// prefetching; the BTB never feeds back into the I-cache.
+///
+/// # Panics
+///
+/// Panics if the dynamic-selection configuration injects wrong-path
+/// fetches or prefetches.
+fn dynsel_prefix_misses(trace: &DynselTrace) -> Vec<[u64; NSTATICS]> {
+    let cfg = dynsel_cfg(DYNSEL_STATICS[0]);
+    assert!(
+        cfg.wrong_path.is_none() && cfg.prefetch_degree == 0,
+        "the one-pass oracle needs an I-cache stream of demand fetch groups only"
+    );
+    let mut caches = DYNSEL_STATICS.map(|p| {
+        build_pair(
+            p,
+            cfg.icache,
+            cfg.btb_entries,
+            cfg.btb_ways,
+            cfg.ghrp,
+            cfg.sdbp,
+            cfg.seed,
+            None,
+            None,
+        )
+        .icache
+    });
+    let mut total = 0u64;
+    let warmups: Vec<u64> = trace
+        .phase_instrs
+        .iter()
+        .map(|&instr| {
+            total += instr;
+            (total / 2).min(cfg.warmup_cap)
+        })
+        .collect();
+    let nprefixes = warmups.len();
+    // Cumulative misses where each prefix's warm-up ends; warm-up
+    // lengths grow with the prefix, so they are reached in order.
+    let mut at_warm: Vec<[u64; NSTATICS]> = Vec::with_capacity(nprefixes);
+    let mut prefix_misses = Vec::with_capacity(nprefixes);
+    let (mut instructions, mut consumed) = (0u64, 0usize);
+    let mut chunks = FetchStream::new(trace.records.iter().copied(), cfg.icache.block_bytes());
+    loop {
+        // Settle every prefix boundary reached so far: before the first
+        // chunk (a zero warm-up, an empty prefix) and after each chunk.
+        let misses = caches.each_ref().map(|c| c.stats().misses);
+        while at_warm.len() < nprefixes && instructions >= warmups[at_warm.len()] {
+            at_warm.push(misses);
+        }
+        while prefix_misses.len() < nprefixes && consumed == trace.phase_ends[prefix_misses.len()] {
+            // A prefix too short to finish its warm-up never resets its
+            // counters, so it measures from the start.
+            let start = at_warm
+                .get(prefix_misses.len())
+                .copied()
+                .unwrap_or([0; NSTATICS]);
+            prefix_misses.push(std::array::from_fn(|p| misses[p] - start[p]));
+        }
+        let Some(chunk) = chunks.next() else { break };
+        instructions += u64::from(chunk.n_instr);
+        if chunk.starts_group {
+            for c in &mut caches {
+                c.access(chunk.block_addr, chunk.first_pc);
+            }
+        }
+        consumed += usize::from(chunk.branch.is_some());
+    }
+    prefix_misses
+}
+
+/// Per-phase best-static oracle misses, measured *in context*: the miss
+/// delta a static contributes in phase `k` is prefix(k) - prefix(k-1)
+/// of its [`dynsel_prefix_misses`], so warm cache state and predictor
+/// history carry across phase boundaries exactly as they do for the
+/// hybrid lanes. A delta can be negative — a longer prefix also warms
+/// up longer — so the arithmetic is signed.
+fn dynsel_oracle_misses(prefix_misses: &[[u64; NSTATICS]]) -> i128 {
+    let mut prev = [0u64; NSTATICS];
+    prefix_misses
+        .iter()
+        .map(|misses| {
+            let best = (0..NSTATICS)
+                .map(|p| i128::from(misses[p]) - i128::from(prev[p]))
                 .min()
-                .expect("static pool is non-empty")
+                .expect("static pool is non-empty");
+            prev = *misses;
+            best
         })
         .sum()
 }
@@ -1054,20 +1180,29 @@ impl Experiment for LabDynamicSelection {
             lanes[nstatics], lanes[nstatics + 1],
         );
 
-        for w in &DYNSEL_WORKLOADS {
-            let nphases = w.offsets.len() as u64;
-            let phase_instr = (total_instr / nphases).max(1);
-            let (recs, instrs) = dynsel_phases(base_seed, w.offsets, phase_instr);
-            let records: Vec<BranchRecord> = recs.iter().flatten().copied().collect();
-            let instructions: u64 = instrs.iter().sum();
-            let source = SliceReplay::new(&records, instructions);
-            let results = run_lanes(&dynsel_cfg(lanes[0]), &lanes, &source);
+        // The workloads are independent: replay them as parallel tasks.
+        let runs = run_tasks(
+            DYNSEL_WORKLOADS.len(),
+            ctx.threads(),
+            |_| (),
+            |(), i| {
+                let w = &DYNSEL_WORKLOADS[i];
+                let phase_instr = (total_instr / w.offsets.len() as u64).max(1);
+                let trace = dynsel_phases(base_seed, w.offsets, phase_instr);
+                let instructions: u64 = trace.phase_instrs.iter().sum();
+                let source = SliceReplay::new(&trace.records, instructions);
+                let results = run_lanes(&dynsel_cfg(lanes[0]), &lanes, &source);
+                (results, dynsel_oracle_misses(&dynsel_prefix_misses(&trace)))
+            },
+        );
 
+        for (w, (results, oracle)) in DYNSEL_WORKLOADS.iter().zip(runs) {
             // The engine counts instructions from the record walk itself
             // (every lane sees the same stream), so use its count as the
             // MPKI denominator for the oracle too.
             let run_instr = results[0].instructions;
-            let mpki = |misses: u64| misses as f64 / (run_instr as f64 / 1000.0);
+            let mpki = |misses: f64| misses / (run_instr as f64 / 1000.0);
+            let oracle_mpki = mpki(oracle as f64);
             let best_static = results[..nstatics]
                 .iter()
                 .map(|r| r.icache.misses)
@@ -1078,7 +1213,6 @@ impl Experiment for LabDynamicSelection {
                 .map(|r| r.icache.misses)
                 .min()
                 .expect("hybrid lanes are non-empty");
-            let oracle = dynsel_oracle_misses(&recs, &instrs);
 
             let mut line = format!("{:<18} ({:>2} phases):", w.name, w.offsets.len());
             for (key, r) in lane_keys.iter().zip(&results) {
@@ -1087,20 +1221,17 @@ impl Experiment for LabDynamicSelection {
                 let _ = write!(line, " {key} {:.3}", r.icache_mpki());
             }
             out.metrics
-                .insert(format!("mpki_{}_oracle", w.name), mpki(oracle));
+                .insert(format!("mpki_{}_oracle", w.name), oracle_mpki);
             let _ = writeln!(
                 out.stdout,
-                "{line} | oracle {:.3} | best hybrid {} best static {}",
-                mpki(oracle),
-                best_hybrid,
-                best_static,
+                "{line} | oracle {oracle_mpki:.3} | best hybrid {best_hybrid} best static {best_static}",
             );
 
             // Margin claim: the best hybrid lane lands within
             // DYNSEL_ORACLE_MARGIN of the per-phase best-static oracle.
             out.metrics.insert(
                 format!("oracle_margin_{}", w.name),
-                (1.0 + DYNSEL_ORACLE_MARGIN) * mpki(oracle) - mpki(best_hybrid),
+                (1.0 + DYNSEL_ORACLE_MARGIN) * oracle_mpki - mpki(best_hybrid as f64),
             );
             out.assertions.push(ShapeAssertion::pos(
                 &format!("dynamic_oracle_{}", w.name),
@@ -1126,6 +1257,8 @@ impl Experiment for LabDynamicSelection {
     }
 }
 
+/// Sampled-replay fidelity lab: sweep sampling configurations and pin
+/// the sampled-vs-full MPKI drift per workload category.
 pub struct LabSampledFidelity;
 
 /// The swept sampling frontier, from guaranteed-exact to aggressive.
@@ -1784,5 +1917,45 @@ impl Experiment for SuiteBench {
         pretty.push('\n');
         out.artifacts.push(("BENCH_suite.json".to_owned(), pretty));
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The oracle's definition: replay every prefix of the phase
+    /// schedule from a cold start and read its measured I-cache misses.
+    fn prefix_replay_misses(trace: &DynselTrace) -> Vec<[u64; NSTATICS]> {
+        (1..=trace.phase_ends.len())
+            .map(|k| {
+                let prefix = &trace.records[..trace.phase_ends[k - 1]];
+                let total: u64 = trace.phase_instrs[..k].iter().sum();
+                let lanes = run_lanes(
+                    &dynsel_cfg(DYNSEL_STATICS[0]),
+                    &DYNSEL_STATICS,
+                    &SliceReplay::new(prefix, total),
+                );
+                std::array::from_fn(|p| lanes[p].icache.misses)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The one-pass oracle equals the prefix-replay definition on
+        /// random phase schedules (recurring and fresh layouts), seeds
+        /// and per-phase lengths at the lab's 8 KB/4-way geometry.
+        #[test]
+        fn one_pass_oracle_matches_prefix_replay(
+            phases in prop::collection::vec((0u64..6, 500u64..3_000), 1..7),
+            seed in 0u64..100_000,
+        ) {
+            let mut trace = DynselTrace::default();
+            for &(offset, instr) in &phases {
+                trace.push_phase(seed + offset, instr);
+            }
+            prop_assert_eq!(dynsel_prefix_misses(&trace), prefix_replay_misses(&trace));
+        }
     }
 }

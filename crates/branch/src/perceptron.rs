@@ -62,12 +62,14 @@ impl HashedPerceptron {
     ///
     /// # Panics
     ///
-    /// Panics if `table_entries` is not a power of two or `num_tables`
-    /// exceeds 8.
+    /// Panics if `table_entries` is not a power of two of at least 2 (a
+    /// 1-entry table has a zero-bit index, which history folding cannot
+    /// produce) or `num_tables` is not in `1..=8`.
     pub fn new(cfg: PerceptronConfig) -> HashedPerceptron {
         assert!(
-            cfg.table_entries.is_power_of_two() && cfg.table_entries > 0,
-            "table_entries must be a power of two"
+            cfg.table_entries.is_power_of_two() && cfg.table_entries >= 2,
+            "table_entries must be a power of two >= 2, got {}",
+            cfg.table_entries
         );
         assert!(
             (1..=8).contains(&cfg.num_tables),
@@ -288,6 +290,27 @@ mod tests {
         assert_eq!(HashedPerceptron::fold(0xABC, 12, 12), 0xABC);
         let f = HashedPerceptron::fold(u64::MAX, 64, 12);
         assert!(f < 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "table_entries must be a power of two >= 2")]
+    fn one_entry_table_panics() {
+        let cfg = PerceptronConfig {
+            table_entries: 1,
+            ..PerceptronConfig::default()
+        };
+        let _ = HashedPerceptron::new(cfg);
+    }
+
+    #[test]
+    fn two_entry_table_predicts_repeatedly() {
+        let mut p = HashedPerceptron::new(PerceptronConfig {
+            table_entries: 2,
+            ..PerceptronConfig::default()
+        });
+        for i in 0..64u64 {
+            let _ = p.predict_and_update(0x1000 + i * 4, i % 3 == 0);
+        }
     }
 
     #[test]

@@ -23,6 +23,9 @@
 //! output vector, so the returned `Vec` is in task order regardless of the
 //! interleaving — callers get output bit-identical to a serial loop.
 //!
+//! [`run_tasks`] drains a grid the same way but reads no clock and returns
+//! no counters, for callers whose output must not depend on host time.
+//!
 //! Contiguous initial ranges also give per-worker state (the engine's
 //! lane arena) the best possible reuse locality: a
 //! worker's consecutive tasks usually share a configuration, so lane
@@ -209,51 +212,92 @@ where
     F: Fn(usize) -> C + Sync,
     G: Fn(&mut C, usize) -> R + Sync,
 {
+    let start = Instant::now();
+    let timed = |ctx: &mut C, t: usize| {
+        let t0 = Instant::now();
+        let r = run(ctx, t);
+        (r, to_nanos(t0.elapsed()))
+    };
+    let (strategy, mut per_worker) = drain(tasks, workers, &mk_ctx, &timed);
+    for (results, stats) in &mut per_worker {
+        stats.busy_ns = results.iter().map(|(_, (_, busy_ns))| busy_ns).sum();
+    }
+    let (timed_out, per_worker) = in_task_order(tasks, per_worker);
+    let out = timed_out.into_iter().map(|(r, _)| r).collect();
+    let sched = SchedulerStats {
+        strategy,
+        workers: per_worker.len(),
+        tasks: to_u64(tasks),
+        steals: per_worker.iter().map(|w| w.steals).sum(),
+        wall_ns: to_nanos(start.elapsed()),
+        per_worker,
+    };
+    (out, sched)
+}
+
+/// [`run_grid`] without its counters: the results in task order, and
+/// no clock is read. Deterministic callers — an experiment's render —
+/// parallelize through this, so host time cannot reach their output.
+///
+/// # Panics
+///
+/// Panics if `tasks` exceeds the 32-bit grid bound, or propagates the
+/// first worker panic.
+pub fn run_tasks<C, R, F, G>(tasks: usize, workers: usize, mk_ctx: F, run: G) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> C + Sync,
+    G: Fn(&mut C, usize) -> R + Sync,
+{
+    let (_, per_worker) = drain(tasks, workers, &mk_ctx, &run);
+    in_task_order(tasks, per_worker).0
+}
+
+/// Drain the grid with the strategy its shape calls for, returning each
+/// worker's `(task, result)` pairs and its task and steal counts.
+fn drain<C, R, F, G>(
+    tasks: usize,
+    workers: usize,
+    mk_ctx: &F,
+    run: &G,
+) -> (Strategy, Vec<WorkerOut<R>>)
+where
+    R: Send,
+    F: Fn(usize) -> C + Sync,
+    G: Fn(&mut C, usize) -> R + Sync,
+{
     assert!(
         to_u64(tasks) < MAX_TASKS,
         "task grid exceeds the 32-bit bound"
     );
     let workers = workers.max(1).min(tasks.max(1));
-    let start = Instant::now();
-
     if workers == 1 || tasks <= 1 {
         let mut ctx = mk_ctx(0);
-        let mut stats = WorkerStats::default();
-        let out: Vec<R> = (0..tasks)
-            .map(|t| {
-                let t0 = Instant::now();
-                let r = run(&mut ctx, t);
-                stats.tasks += 1;
-                stats.busy_ns += to_nanos(t0.elapsed());
-                r
-            })
-            .collect();
-        let sched = SchedulerStats {
-            strategy: Strategy::Inline,
-            workers: 1,
+        let results = (0..tasks).map(|t| (t, run(&mut ctx, t))).collect();
+        let stats = WorkerStats {
             tasks: to_u64(tasks),
-            steals: 0,
-            wall_ns: to_nanos(start.elapsed()),
-            per_worker: vec![stats],
+            ..WorkerStats::default()
         };
-        return (out, sched);
-    }
-
-    let (strategy, per_worker) = if tasks < 2 * workers {
+        (Strategy::Inline, vec![(results, stats)])
+    } else if tasks < 2 * workers {
         (
             Strategy::SharedIndex,
-            drain_shared(tasks, workers, &mk_ctx, &run),
+            drain_shared(tasks, workers, mk_ctx, run),
         )
     } else {
         (
             Strategy::Stealing,
-            drain_stealing(tasks, workers, &mk_ctx, &run),
+            drain_stealing(tasks, workers, mk_ctx, run),
         )
-    };
+    }
+}
 
+/// Put every worker's results back in task order; returns them with the
+/// per-worker counters.
+fn in_task_order<R>(tasks: usize, per_worker: Vec<WorkerOut<R>>) -> (Vec<R>, Vec<WorkerStats>) {
     let mut slots: Vec<Option<R>> = Vec::with_capacity(tasks);
     slots.resize_with(tasks, || None);
-    let mut worker_stats = Vec::with_capacity(workers);
+    let mut worker_stats = Vec::with_capacity(per_worker.len());
     for (results, stats) in per_worker {
         for (i, r) in results {
             slots[i] = Some(r);
@@ -262,15 +306,7 @@ where
     }
     let out: Vec<R> = slots.into_iter().flatten().collect();
     assert_eq!(out.len(), tasks, "scheduler lost a task result");
-    let sched = SchedulerStats {
-        strategy,
-        workers,
-        tasks: to_u64(tasks),
-        steals: worker_stats.iter().map(|w| w.steals).sum(),
-        wall_ns: to_nanos(start.elapsed()),
-        per_worker: worker_stats,
-    };
-    (out, sched)
+    (out, worker_stats)
 }
 
 type WorkerOut<R> = (Vec<(usize, R)>, WorkerStats);
@@ -306,10 +342,8 @@ where
                         if t >= tasks {
                             break;
                         }
-                        let t0 = Instant::now();
                         results.push((t, run(&mut ctx, t)));
                         stats.tasks += 1;
-                        stats.busy_ns += to_nanos(t0.elapsed());
                     }
                     (results, stats)
                 })
@@ -350,11 +384,9 @@ where
                     let mut stats = WorkerStats::default();
                     'drain: loop {
                         while let Some(t) = pop_front(&ranges[w]) {
-                            let t0 = Instant::now();
                             let i = to_index(t);
                             results.push((i, run(&mut ctx, i)));
                             stats.tasks += 1;
-                            stats.busy_ns += to_nanos(t0.elapsed());
                         }
                         for off in 1..n {
                             let victim = (w + off) % n;
@@ -403,6 +435,16 @@ mod tests {
         assert_eq!(s3.strategy, Strategy::Stealing);
         assert_eq!(serial, stolen);
         assert_eq!(serial, (0..37).map(|t| t * t).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn run_tasks_matches_run_grid_results() {
+        for workers in 1..=4 {
+            for tasks in [0, 1, 3, 9, 40] {
+                let plain = run_tasks(tasks, workers, |_| (), |(), t| t * t);
+                assert_eq!(plain, grid_squares(tasks, workers).0);
+            }
+        }
     }
 
     #[test]
