@@ -12,7 +12,7 @@
 #![forbid(unsafe_code)]
 
 use fe_cache::{AccessContext, Cache, CacheConfig, ReplacementPolicy};
-use fe_frontend::engine::{run_lanes, SliceReplay};
+use fe_frontend::engine::{run_lanes, LaneSpec, RunSpec, SliceReplay};
 use fe_frontend::policy::{build_pair, BasePolicy};
 use fe_frontend::sampled::{run_sweep_sampled, SampleParams};
 use fe_frontend::schedule::{run_tasks, SchedulerStats};
@@ -31,6 +31,33 @@ use super::context::RunContext;
 use super::request::{SimRequest, SimShape, SuiteSpec};
 use super::shape::ShapeAssertion;
 use super::{Experiment, ExperimentOutput, RenderCtx};
+
+/// Simulate `lanes` over `specs`, streamed, inside a `render`: the
+/// clock-free drain ([`RunSpec::run_untimed`]), reshaped into rows with
+/// one column per lane.
+///
+/// # Panics
+///
+/// Panics on a [`fe_frontend::engine::RunError`]: the labs' lanes share
+/// the paper block size and warm-up cap, and nothing is sampled.
+fn render_suite(
+    specs: &[WorkloadSpec],
+    lanes: &[LaneSpec],
+    threads: usize,
+) -> fe_experiment::SuiteResult {
+    let spec = RunSpec {
+        specs,
+        source: fe_experiment::SuiteSource::Streamed,
+        lanes,
+        sampling: None,
+        part_width: None,
+    };
+    let grid = spec
+        .run_untimed(threads)
+        .unwrap_or_else(|e| panic!("lab run: {e}"));
+    let policies: Vec<PolicyKind> = lanes.iter().map(|l| l.config.policy).collect();
+    fe_experiment::SuiteResult::from_grid(specs, &policies, grid)
+}
 
 /// Diagnostic: per-trace footprints and MPKI under LRU/Random/SRRIP/GHRP.
 pub struct Diag;
@@ -156,12 +183,9 @@ impl Experiment for Headroom {
             .map(|&seed| WorkloadSpec::new(WorkloadCategory::ShortServer, seed).instructions(instr))
             .collect();
         let pols = [PolicyKind::Lru, PolicyKind::Opt, PolicyKind::Srrip];
-        let suite = fe_experiment::run_suite(
-            &specs,
-            &SimConfig::paper_default(),
-            &pols,
-            rctx.ctx.threads(),
-        );
+        let base = SimConfig::paper_default();
+        let lanes = LaneSpec::grid(&base, std::slice::from_ref(&base.icache), &pols, true);
+        let suite = render_suite(&specs, &lanes, rctx.ctx.threads());
         let mut out = ExperimentOutput::default();
         for ((seed, spec), row) in SEEDS.iter().zip(&specs).zip(&suite.rows) {
             let [lru, opt, srrip] = [0, 1, 2].map(|p| (row.icache_mpki[p], row.btb_mpki[p]));
@@ -437,12 +461,13 @@ impl Experiment for ScaleTest {
         cfg.ghrp.dead_threshold = 1;
         cfg.ghrp.bypass_threshold = 7;
         cfg.ghrp.btb_dead_threshold = 1;
-        let suite = fe_experiment::run_suite(
-            &specs,
+        let lanes = LaneSpec::grid(
             &cfg,
+            std::slice::from_ref(&cfg.icache),
             &[PolicyKind::Lru, PolicyKind::Ghrp],
-            rctx.ctx.threads(),
+            true,
         );
+        let suite = render_suite(&specs, &lanes, rctx.ctx.threads());
         let mut out = ExperimentOutput::default();
         for (scale, rows) in SCALES.iter().zip(suite.rows.chunks(SEEDS.len())) {
             let instr = base * scale;
@@ -508,11 +533,13 @@ impl Experiment for TuneGhrp {
             (true, true, 2, true),
             (true, true, 1, false),
         ];
-        let runs: Vec<fe_frontend::SuiteResult> = combos
+        // One pass over the specs: a GHRP lane per setting, then the LRU
+        // baseline (LRU ignores the GHRP knobs, so it rides on the first
+        // setting's configuration).
+        let mut lanes: Vec<LaneSpec> = combos
             .iter()
-            .enumerate()
-            .map(|(i, &(protect_mru, btb_byp, btb_thr, shadow))| {
-                let mut cfg = SimConfig::paper_default();
+            .map(|&(protect_mru, btb_byp, btb_thr, shadow)| {
+                let mut cfg = SimConfig::paper_default().with_policy(PolicyKind::Ghrp);
                 cfg.ghrp.table_entries = 16384;
                 cfg.ghrp.counter_bits = 4;
                 cfg.ghrp.dead_threshold = 1;
@@ -521,20 +548,22 @@ impl Experiment for TuneGhrp {
                 cfg.ghrp.protect_mru = protect_mru;
                 cfg.ghrp.btb_enable_bypass = btb_byp;
                 cfg.ghrp.shadow_training = shadow;
-                // LRU ignores the GHRP knobs, so the baseline rides as a
-                // second lane of the first configuration's pass.
-                let pols: &[PolicyKind] = if i == 0 {
-                    &[PolicyKind::Ghrp, PolicyKind::Lru]
-                } else {
-                    &[PolicyKind::Ghrp]
-                };
-                fe_experiment::run_suite(&specs, &cfg, pols, rctx.ctx.threads())
+                LaneSpec {
+                    config: cfg,
+                    measure_btb: true,
+                }
             })
             .collect();
+        lanes.push(LaneSpec {
+            config: lanes[0].config.with_policy(PolicyKind::Lru),
+            measure_btb: true,
+        });
+        let lru = combos.len();
+        let run = render_suite(&specs, &lanes, rctx.ctx.threads());
 
         let n = specs.len() as f64;
-        let lru_icache_mean: f64 = runs[0].rows.iter().map(|r| r.icache_mpki[1]).sum::<f64>() / n;
-        let lru_btb_mean: f64 = runs[0].rows.iter().map(|r| r.btb_mpki[1]).sum::<f64>() / n;
+        let lru_icache_mean: f64 = run.rows.iter().map(|r| r.icache_mpki[lru]).sum::<f64>() / n;
+        let lru_btb_mean: f64 = run.rows.iter().map(|r| r.btb_mpki[lru]).sum::<f64>() / n;
         let _ = writeln!(
             out.stdout,
             "LRU mean: icache {lru_icache_mean:.3} btb {lru_btb_mean:.3}"
@@ -542,11 +571,11 @@ impl Experiment for TuneGhrp {
         out.metrics.insert("icache_lru".to_owned(), lru_icache_mean);
         out.metrics.insert("btb_lru".to_owned(), lru_btb_mean);
 
-        for (&(protect_mru, btb_byp, btb_thr, shadow), run) in combos.iter().zip(&runs) {
+        for (i, &(protect_mru, btb_byp, btb_thr, shadow)) in combos.iter().enumerate() {
             let (mut isum, mut bsum) = (0.0, 0.0);
             for row in &run.rows {
-                isum += row.icache_mpki[0];
-                bsum += row.btb_mpki[0];
+                isum += row.icache_mpki[i];
+                bsum += row.btb_mpki[i];
             }
             let _ = writeln!(
                 out.stdout,

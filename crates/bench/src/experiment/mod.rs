@@ -132,12 +132,13 @@ pub fn run_experiments(names: &[String], parsed: &ParsedArgs) -> Result<(), Stri
     let cache = fe_trace::corpus::CorpusCache::new(ctx.corpus_dir());
     let store = SimStore::plan_and_run_cached(&requests, ctx.threads(), &cache);
     eprintln!(
-        "report: {} simulation request(s) -> {} unique run(s)",
-        store.requests, store.executions
+        "report: {} simulation request(s) -> {} unique run(s) -> {} engine pass(es)",
+        store.requests, store.executions, store.passes
     );
     eprintln!(
-        "report: corpus cache {}: {} workload(s) encoded, {} replayed from cache",
+        "report: corpus cache {}: {} suite load(s), {} workload(s) encoded, {} replayed from cache",
         cache.dir().display(),
+        store.corpus_loads,
         store.workloads_generated,
         store.workloads_reused
     );

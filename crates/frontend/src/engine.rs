@@ -38,7 +38,7 @@ use crate::experiment::SuiteSource;
 use crate::policy::{build_pair, FrontendPair, PolicyKind};
 use crate::sampled::{build_plan, SampleParams, SamplePlan, SampledInfo};
 use crate::schedule::{self, SchedulerStats};
-use crate::simulator::{offline_sequences, RunResult, SimConfig};
+use crate::simulator::{offline_sequences, RunResult, SimConfig, WrongPathConfig};
 use fe_branch::{HashedPerceptron, PredictorStats, ReturnAddressStack, TargetCache};
 use fe_cache::CacheConfig;
 use fe_trace::fetch::{FetchChunk, FetchStream};
@@ -199,10 +199,63 @@ impl SharedFrontEnd {
     }
 }
 
+/// One lane of a run: a complete simulator configuration — I-cache
+/// geometry, policy, BTB size, GHRP/SDBP knobs, seed, wrong-path and
+/// prefetch settings — plus whether the lane drives its BTB.
+///
+/// Lanes of one [`RunSpec`] may differ in every field except the I-cache
+/// block size and the warm-up cap: the shared front end chunks the fetch
+/// stream once and warms once, and it never reads a lane's
+/// configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneSpec {
+    /// The lane's configuration; `config.policy` is the lane's policy.
+    pub config: SimConfig,
+    /// Whether the lane drives its BTB. A lane that skips it reports
+    /// zero BTB figures; the GHRP BTB policy only reads the shared
+    /// predictor, so the lane's I-cache figures are unaffected.
+    pub measure_btb: bool,
+}
+
+impl LaneSpec {
+    /// The lanes of `geometries × policies` over `base`, geometry-major,
+    /// all with the same BTB measurement.
+    pub fn grid(
+        base: &SimConfig,
+        geometries: &[CacheConfig],
+        policies: &[PolicyKind],
+        measure_btb: bool,
+    ) -> Vec<LaneSpec> {
+        geometries
+            .iter()
+            .flat_map(|&icache| {
+                policies.iter().map(move |&policy| LaneSpec {
+                    config: base.with_icache(icache).with_policy(policy),
+                    measure_btb,
+                })
+            })
+            .collect()
+    }
+}
+
 /// One policy lane: the complete per-policy state of a standalone run.
+///
+/// The lane keeps its own copy of the few configuration fields the
+/// per-event calls read, so the hot path never goes through the whole
+/// [`SimConfig`].
+///
+/// Each lane starts on a cache line of its own. A worker's lane vector is
+/// only 16-byte aligned, and its offset within a line changes from one
+/// run to the next; with unaligned lanes that offset decided which lanes'
+/// hot fields straddled a line, so pass times varied between runs.
 #[derive(Debug)]
+#[repr(align(64))]
 struct Lane {
     policy: PolicyKind,
+    measure_btb: bool,
+    prefetch_degree: u32,
+    block_bytes: u64,
+    wrong_path: Option<WrongPathConfig>,
     pair: FrontendPair,
     /// Wrong-path pollution, excluded from the figure of merit (wrong-path
     /// fetches do not retire, so they cannot be MPKI events).
@@ -216,42 +269,36 @@ impl Lane {
     /// One I-cache access per fetch group (§IV.A), plus prefetch and
     /// commit-time GHRP history retirement — the per-lane half of what
     /// the legacy loop does per `starts_group` chunk.
-    fn access_group(&mut self, chunk: &FetchChunk, cfg: &SimConfig) {
+    fn access_group(&mut self, chunk: &FetchChunk) {
         self.groups += 1;
         let result = self.pair.icache.access(chunk.block_addr, chunk.first_pc);
         // Miss-triggered next-line prefetching.
-        if result.is_miss() && cfg.prefetch_degree > 0 {
-            for i in 1..=u64::from(cfg.prefetch_degree) {
+        if result.is_miss() && self.prefetch_degree > 0 {
+            for i in 1..=u64::from(self.prefetch_degree) {
                 self.pair
                     .icache
-                    .prefetch(chunk.block_addr + i * cfg.icache.block_bytes());
+                    .prefetch(chunk.block_addr + i * self.block_bytes);
             }
         }
         // Commit-time (right-path) history retirement for GHRP: in this
         // trace-driven model every fetched group retires.
-        if let (Some(shared), Some(_wp)) = (&self.pair.ghrp, cfg.wrong_path.as_ref()) {
+        if let (Some(shared), Some(_wp)) = (&self.pair.ghrp, self.wrong_path.as_ref()) {
             shared.retire(chunk.block_addr);
         }
     }
 
     /// The per-lane half of a branch event: BTB refresh/allocate on taken
-    /// branches (skippable when the caller never reads BTB results — the
+    /// branches (skipped when the lane does not measure its BTB — the
     /// GHRP BTB policy only *reads* the shared predictor, so skipping it
     /// leaves every I-cache counter bit-identical), then wrong-path
     /// injection if the (shared) front end mispredicted.
-    fn observe_branch(
-        &mut self,
-        branch: &BranchRecord,
-        mispredicted: bool,
-        cfg: &SimConfig,
-        measure_btb: bool,
-    ) {
-        if measure_btb && branch.taken {
+    fn observe_branch(&mut self, branch: &BranchRecord, mispredicted: bool) {
+        if self.measure_btb && branch.taken {
             self.pair.btb.lookup_and_update(branch.pc, branch.target);
         }
         if mispredicted {
-            if let Some(wp) = cfg.wrong_path {
-                let block_bytes = cfg.icache.block_bytes();
+            if let Some(wp) = self.wrong_path {
+                let block_bytes = self.block_bytes;
                 // The wrong path is the direction not taken.
                 let wrong_start = if branch.taken {
                     branch.fall_through()
@@ -326,80 +373,68 @@ impl Lane {
     }
 }
 
-/// One lane of a run's grid: an I-cache geometry under one policy.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct LaneSpec {
-    icache: CacheConfig,
-    policy: PolicyKind,
-}
-
-/// The configuration a set of arena lanes was built for.
-#[derive(Debug, Clone, PartialEq)]
-struct ArenaKey {
-    base: SimConfig,
-    lanes: Vec<LaneSpec>,
-}
-
 /// Reusable per-worker lane storage: a worker's consecutive tasks usually
-/// share a configuration, so the arena keeps the previous task's lanes
-/// and resets them **in place** (same post-construction state, zero
-/// allocation) when the key matches, rebuilding only on a change or for
-/// offline lanes, whose state is derived from the concrete trace.
+/// share a lane list, so the arena keeps the previous task's lanes and
+/// resets them **in place** (same post-construction state, zero
+/// allocation) when the list matches, rebuilding on a change. Offline
+/// lanes always rebuild: their state is derived from the concrete trace.
 #[derive(Debug, Default)]
 struct EngineArena {
-    key: Option<ArenaKey>,
+    /// The lane list the held lanes were built for.
+    key: Vec<LaneSpec>,
     lanes: Vec<Lane>,
 }
 
 impl EngineArena {
-    /// Ready fresh lanes for `lanes` under `base`: reset the held lanes
-    /// in place when they were built for the same key, else rebuild.
-    /// `offline` carries the precomputed access sequences of offline
-    /// lanes, whose trace-derived state is never reused.
-    fn prepare(
-        &mut self,
-        base: &SimConfig,
-        lanes: &[LaneSpec],
-        offline: Option<&(Vec<u64>, Vec<u64>)>,
-    ) {
-        let reusable = offline.is_none()
-            && self
-                .key
-                .as_ref()
-                .is_some_and(|k| k.base == *base && k.lanes == lanes);
-        if reusable {
-            for lane in &mut self.lanes {
-                lane.reset_for_reuse();
-            }
-            return;
+    /// Ready fresh lanes for `lanes`: reset the held lanes in place when
+    /// they were built for the same list, else rebuild. Offline lanes
+    /// always rebuild, from `offline`, the precomputed access sequences of
+    /// the current trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane's BTB geometry is invalid.
+    fn prepare(&mut self, lanes: &[LaneSpec], offline: Option<&(Vec<u64>, Vec<u64>)>) {
+        if self.key != lanes {
+            self.lanes.clear();
+            self.key = lanes.to_vec();
         }
-        self.lanes.clear();
-        for spec in lanes {
-            let seq = offline.filter(|_| spec.policy.is_offline());
+        for (i, &spec) in lanes.iter().enumerate() {
+            let cfg = &spec.config;
+            let held = self.lanes.get_mut(i);
+            if let Some(lane) = held.filter(|_| !cfg.policy.is_offline()) {
+                lane.reset_for_reuse();
+                continue;
+            }
+            let seq = offline.filter(|_| cfg.policy.is_offline());
             // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
             let pair = build_pair(
-                spec.policy,
-                spec.icache,
-                base.btb_entries,
-                base.btb_ways,
-                base.ghrp,
-                base.sdbp,
-                base.seed,
+                cfg.policy,
+                cfg.icache,
+                cfg.btb_entries,
+                cfg.btb_ways,
+                cfg.ghrp,
+                cfg.sdbp,
+                cfg.seed,
                 seq.map(|(blocks, _)| blocks.as_slice()),
                 seq.map(|(_, pcs)| pcs.as_slice()),
             );
-            self.lanes.push(Lane {
-                policy: spec.policy,
+            let lane = Lane {
+                policy: cfg.policy,
+                measure_btb: spec.measure_btb,
+                prefetch_degree: cfg.prefetch_degree,
+                block_bytes: cfg.icache.block_bytes(),
+                wrong_path: cfg.wrong_path,
                 pair,
                 wrong_path_misses: 0,
                 wrong_path_accesses: 0,
                 groups: 0,
-            });
+            };
+            match self.lanes.get_mut(i) {
+                Some(held) => *held = lane,
+                None => self.lanes.push(lane),
+            }
         }
-        self.key = offline.is_none().then(|| ArenaKey {
-            base: *base,
-            lanes: lanes.to_vec(),
-        });
     }
 }
 
@@ -421,13 +456,11 @@ pub fn run_lanes<S: ReplaySource>(
     policies: &[PolicyKind],
     source: &S,
 ) -> Vec<RunResult> {
-    let lanes = lane_grid(std::slice::from_ref(&base.icache), policies);
+    let lanes = LaneSpec::grid(base, std::slice::from_ref(&base.icache), policies, true);
     let full = [Segment::full(source.total_instructions(), base.warmup_cap)];
     // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
     replay_segments(
-        base,
         &lanes,
-        true,
         &full,
         |_| source.replay(),
         &mut EngineArena::default(),
@@ -468,18 +501,6 @@ impl Segment {
     }
 }
 
-/// The lane grid of `geometries × policies`, geometry-major.
-fn lane_grid(geometries: &[CacheConfig], policies: &[PolicyKind]) -> Vec<LaneSpec> {
-    geometries
-        .iter()
-        .flat_map(|&icache| {
-            policies
-                .iter()
-                .map(move |&policy| LaneSpec { icache, policy })
-        })
-        .collect()
-}
-
 /// The replay loop: drive `lanes` through `segments` in order over one
 /// persistent front end and lane grid, returning every segment's
 /// per-lane results, segment-major (`out[s * lanes.len() + l]`).
@@ -491,20 +512,17 @@ fn lane_grid(geometries: &[CacheConfig], policies: &[PolicyKind]) -> Vec<LaneSpe
 /// cover exactly its measured interval. A segment without warm-up resets
 /// counters before its first record.
 ///
-/// Every lane shares `base.icache`'s block size: the fetch stream is
-/// chunked once at that granularity. `measure_btb = false` skips the
-/// per-lane BTB entirely (its stats come back zero); the GHRP BTB policy
-/// only reads the shared predictor, so I-cache results are unaffected.
+/// Every lane shares the first lane's I-cache block size: the fetch
+/// stream is chunked once at that granularity. Everything else — policy,
+/// geometry, BTB, predictor knobs, wrong-path, prefetch — is per lane.
 ///
 /// # Panics
 ///
 /// Panics if an offline (OPT) lane meets anything but one full segment —
-/// its precompute is defined over a full replay — or if the BTB geometry
-/// in `base` is invalid.
+/// its precompute is defined over a full replay — or if a lane's BTB
+/// geometry is invalid.
 fn replay_segments<I, F>(
-    base: &SimConfig,
     lanes: &[LaneSpec],
-    measure_btb: bool,
     segments: &[Segment],
     mut records: F,
     arena: &mut EngineArena,
@@ -513,14 +531,14 @@ where
     F: FnMut(&Segment) -> I,
     I: Iterator<Item = BranchRecord>,
 {
-    if lanes.is_empty() {
+    let Some(first) = lanes.first() else {
         return Vec::new();
-    }
-    let block_bytes = base.icache.block_bytes();
+    };
+    let block_bytes = first.config.icache.block_bytes();
     // Offline (OPT) lanes need the full access sequences ahead of time:
     // precompute them once per trace and share them across all offline
     // lanes (the block sequence is geometry-independent).
-    let offline = lanes.iter().any(|l| l.policy.is_offline()).then(|| {
+    let offline = lanes.iter().any(|l| l.config.policy.is_offline()).then(|| {
         assert!(
             matches!(segments, [s] if s.rec_lo == 0 && s.rec_hi == u64::MAX),
             "offline policies cannot be phase-sampled"
@@ -528,7 +546,7 @@ where
         offline_sequences(records(&segments[0]), block_bytes)
     });
     // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-    arena.prepare(base, lanes, offline.as_ref());
+    arena.prepare(lanes, offline.as_ref());
     let lanes = &mut arena.lanes;
 
     let mut fe = SharedFrontEnd::default();
@@ -553,13 +571,13 @@ where
             }
             if chunk.starts_group {
                 for lane in lanes.iter_mut() {
-                    lane.access_group(&chunk, base);
+                    lane.access_group(&chunk);
                 }
             }
             if let Some(branch) = chunk.branch {
                 let mispredicted = fe.observe(&branch);
                 for lane in lanes.iter_mut() {
-                    lane.observe_branch(&branch, mispredicted, base, measure_btb);
+                    lane.observe_branch(&branch, mispredicted);
                 }
             }
             if !warmed && instructions >= warmup {
@@ -586,35 +604,109 @@ where
     out
 }
 
+/// A precondition of [`RunSpec::run`] that the spec does not meet.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RunError {
+    /// Lanes of one run must share the I-cache block size (the fetch
+    /// stream is chunked once).
+    MixedBlockSize {
+        /// Block size of the first lane.
+        expected: u64,
+        /// The first differing block size.
+        found: u64,
+    },
+    /// Lanes of one run must share the warm-up cap (the front end warms
+    /// once).
+    MixedWarmupCap {
+        /// Warm-up cap of the first lane.
+        expected: u64,
+        /// The first differing warm-up cap.
+        found: u64,
+    },
+    /// Phase-sampled replay needs a corpus source (its plans come from
+    /// the corpus signature sidecars).
+    SampledStreamed,
+    /// An offline (OPT) lane met a non-exact sampled plan; its oracle is
+    /// defined over a full replay only.
+    OfflineSampled,
+    /// The corpus holds a different number of traces than the run has
+    /// workloads.
+    CorpusLength {
+        /// Traces in the corpus.
+        corpus: usize,
+        /// Workloads in the run.
+        specs: usize,
+    },
+    /// Corpus trace `index` is not the workload the run expects there.
+    CorpusName {
+        /// Trace index.
+        index: usize,
+        /// Name of the corpus trace.
+        found: String,
+        /// Name of the workload spec.
+        expected: String,
+    },
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::MixedBlockSize { expected, found } => write!(
+                f,
+                "lanes of one run must share the block size ({expected} B vs {found} B)"
+            ),
+            RunError::MixedWarmupCap { expected, found } => write!(
+                f,
+                "lanes of one run must share the warm-up cap ({expected} vs {found})"
+            ),
+            RunError::SampledStreamed => f.write_str("sampled replay needs a corpus source"),
+            RunError::OfflineSampled => f.write_str("offline policies cannot be phase-sampled"),
+            RunError::CorpusLength { corpus, specs } => write!(
+                f,
+                "corpus has {corpus} traces but the suite has {specs} workloads"
+            ),
+            RunError::CorpusName {
+                index,
+                found,
+                expected,
+            } => write!(
+                f,
+                "corpus trace {index} is `{found}` but the suite expects `{expected}`"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
 /// One simulation run: which traces to replay, from where, through which
-/// lane grid, and whether to phase-sample them.
+/// lanes, and whether to phase-sample them.
 ///
-/// Every suite, sweep and sampled run goes through [`RunSpec::run`]; a
-/// suite is a one-geometry grid (`base.icache`), a sweep a many-geometry
-/// one.
+/// Every suite, sweep and sampled run goes through [`RunSpec::run`]. A
+/// suite is one geometry's policies, a sweep many geometries' — and the
+/// planner fuses every full-replay request on one suite into one lane
+/// list, since each lane carries its own configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct RunSpec<'a> {
     /// Workloads, one trace each, in row order.
     pub specs: &'a [WorkloadSpec],
-    /// Shared configuration. `base.policy` is ignored, and `base.icache`
-    /// only sets the block size the fetch stream is chunked at.
-    pub base: &'a SimConfig,
     /// Where the records come from.
     pub source: SuiteSource<'a>,
-    /// I-cache geometries of the lane grid, all at `base`'s block size.
-    pub geometries: &'a [CacheConfig],
-    /// Policies of the lane grid; every geometry runs all of them.
-    pub policies: &'a [PolicyKind],
-    /// Whether lanes drive their BTB; runs that read only I-cache MPKI
-    /// skip it (BTB figures then come back zero).
-    pub measure_btb: bool,
+    /// The lanes every trace drives, in column order. All share one
+    /// I-cache block size and one warm-up cap.
+    pub lanes: &'a [LaneSpec],
     /// Phase-sampled replay ([`crate::sampled`]), which needs a corpus
     /// source; `None` replays every trace in full.
     pub sampling: Option<SampleParams>,
+    /// Widest lane part one task may replay; `None` splits the lanes
+    /// only as far as the workers need. The `report` planner sets it for
+    /// the wide lane lists it fuses from many requests; the adapters
+    /// leave it `None`.
+    pub part_width: Option<usize>,
 }
 
-/// Measured figures of one (trace, geometry, policy) lane, merged over
-/// its replayed segments by segment weight.
+/// Measured figures of one (trace, lane) cell, merged over its replayed
+/// segments by segment weight.
 ///
 /// A full run is one segment of weight 1, and `0.0 + 1.0 * x == x`
 /// exactly, so full-run figures are the lane's own MPKIs bit for bit.
@@ -626,7 +718,7 @@ pub(crate) struct LaneMetrics {
     pub branch_mpki: f64,
     /// I-cache MPKI.
     pub icache_mpki: f64,
-    /// BTB MPKI (zero when the run skipped BTBs).
+    /// BTB MPKI (zero when the lane skipped its BTB).
     pub btb_mpki: f64,
 }
 
@@ -646,15 +738,14 @@ impl LaneMetrics {
 }
 
 /// The result of a [`RunSpec`]: the merged figures of every (trace,
-/// geometry, policy) lane, plus the run's observability. Suite rows
+/// lane) cell, plus the run's observability. Suite rows
 /// ([`crate::SuiteResult::from_grid`]) and sweep points
 /// ([`crate::sweep::SweepResult::from_grid`]) are its reshapes.
 #[derive(Debug, Clone)]
 pub struct RunGrid {
     traces: usize,
-    geometries: usize,
-    policies: usize,
-    /// Trace-major, then geometry, then policy.
+    lanes: usize,
+    /// Trace-major, then lane.
     cells: Vec<LaneMetrics>,
     /// Scheduler observability for the run.
     pub scheduler: SchedulerStats,
@@ -668,116 +759,234 @@ impl RunGrid {
         self.traces
     }
 
-    /// The per-policy lanes of `trace` at geometry `geometry`, in the
-    /// spec's policy order.
+    /// Every lane of `trace`, in the spec's lane order.
     ///
     /// # Panics
     ///
-    /// Panics if `trace` or `geometry` is out of range.
-    pub(crate) fn lanes(&self, trace: usize, geometry: usize) -> &[LaneMetrics] {
-        assert!(trace < self.traces && geometry < self.geometries);
-        let lo = (trace * self.geometries + geometry) * self.policies;
-        &self.cells[lo..lo + self.policies]
+    /// Panics if `trace` is out of range.
+    pub(crate) fn row(&self, trace: usize) -> &[LaneMetrics] {
+        &self.cells[trace * self.lanes..(trace + 1) * self.lanes]
+    }
+
+    /// The grid of columns `lanes` of this one, in that order — what a
+    /// run of just those lanes returns. With `measure_btb` off the BTB
+    /// figures read zero, as they do for a lane that skipped its BTB.
+    /// The selection carries no scheduler counters (the drain belongs to
+    /// the whole run); sampling observability is kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane index is out of range.
+    #[must_use]
+    pub fn select(&self, lanes: &[usize], measure_btb: bool) -> RunGrid {
+        let cells = (0..self.traces)
+            .flat_map(|s| {
+                let row = self.row(s);
+                lanes.iter().map(move |&l| LaneMetrics {
+                    btb_mpki: if measure_btb { row[l].btb_mpki } else { 0.0 },
+                    ..row[l]
+                })
+            })
+            .collect();
+        RunGrid {
+            traces: self.traces,
+            lanes: lanes.len(),
+            cells,
+            scheduler: SchedulerStats::default(),
+            sampled: self.sampled,
+        }
     }
 }
 
 impl RunSpec<'_> {
+    /// The block size and warm-up cap every lane shares, or `None`
+    /// without lanes.
+    fn shared_geometry(&self) -> Result<Option<(u64, u64)>, RunError> {
+        let Some(first) = self.lanes.first() else {
+            return Ok(None);
+        };
+        let block = first.config.icache.block_bytes();
+        let cap = first.config.warmup_cap;
+        for lane in self.lanes {
+            let found = lane.config.icache.block_bytes();
+            if found != block {
+                return Err(RunError::MixedBlockSize {
+                    expected: block,
+                    found,
+                });
+            }
+            if lane.config.warmup_cap != cap {
+                return Err(RunError::MixedWarmupCap {
+                    expected: cap,
+                    found: lane.config.warmup_cap,
+                });
+            }
+        }
+        Ok(Some((block, cap)))
+    }
+
+    /// Check the spec's preconditions and lay it out as a task grid for
+    /// `threads` workers.
+    fn task_grid(&self, threads: usize) -> Result<TaskGrid<'_>, RunError> {
+        self.source.validate(self.specs)?;
+        let shared = self.shared_geometry()?;
+        let plans: Vec<SamplePlan> = match (self.sampling, self.source, self.lanes.first()) {
+            (Some(_), SuiteSource::Streamed, _) => return Err(RunError::SampledStreamed),
+            (Some(params), SuiteSource::Corpus(corpus), Some(lane)) => (0..corpus.len())
+                .map(|s| build_plan(corpus.trace(s), &lane.config, &params))
+                .collect(),
+            // Unsampled, or no lane to plan for.
+            _ => Vec::new(),
+        };
+        if self.lanes.iter().any(|l| l.config.policy.is_offline()) && plans.iter().any(|p| !p.exact)
+        {
+            return Err(RunError::OfflineSampled);
+        }
+        let nlanes = self.lanes.len();
+        let workers = schedule::resolve_threads(threads);
+        let nparts = workers
+            .div_ceil(self.specs.len().max(1))
+            .max(self.part_width.map_or(1, |w| nlanes.div_ceil(w.max(1))))
+            .clamp(1, nlanes.max(1));
+        Ok(TaskGrid {
+            spec: *self,
+            plans,
+            warmup_cap: shared.map_or(0, |(_, cap)| cap),
+            parts: (0..nparts)
+                .map(|p| (p * nlanes / nparts, (p + 1) * nlanes / nparts))
+                .collect(),
+            workers,
+        })
+    }
+
     /// Run the spec on `threads` worker threads (`0` = every available
     /// hardware thread) and return its per-lane grid.
     ///
-    /// The task grid is `lane part × trace`. The lane list (geometry
-    /// major, then policy) is one part when the traces alone give every
-    /// worker a task; with more workers than traces it splits into
-    /// contiguous parts so the extra workers still parallelize. Tasks are
-    /// part-major, so a worker's consecutive tasks share a part and its
-    /// lane arena resets lanes in place instead of rebuilding them.
-    /// The grid is bit-identical to a serial run at every thread count.
+    /// The task grid is `lane part × trace`. The lane list is one part
+    /// when the traces alone give every worker a task and the list is no
+    /// wider than [`RunSpec::part_width`]; otherwise it splits into
+    /// balanced contiguous parts. Tasks are part-major, so a worker's
+    /// consecutive tasks share a part and its lane arena resets lanes in
+    /// place instead of rebuilding them. The grid is bit-identical to a serial run at
+    /// every thread count and every part split.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`RunError`] if the lanes mix block sizes or warm-up
+    /// caps, if sampling is asked of a streamed source, if an offline
+    /// lane meets a non-exact sampled plan, or if a corpus source does
+    /// not match `specs` (length or names).
     ///
     /// # Panics
     ///
-    /// Panics if a corpus source does not match `specs` (length or
-    /// names), if sampling is asked of a streamed source, if a geometry's
-    /// block size differs from `base`'s, if an offline policy meets a
-    /// sampled plan, if the BTB geometry is invalid, or if a worker
-    /// panics.
-    pub fn run(&self, threads: usize) -> RunGrid {
-        self.source.validate(self.specs);
-        let base = self.base;
-        let block_bytes = base.icache.block_bytes();
-        assert!(
-            self.geometries
-                .iter()
-                .all(|g| g.block_bytes() == block_bytes),
-            "fused geometries must share the base block size"
-        );
-        let plans: Vec<SamplePlan> = match (self.sampling, self.source) {
-            (Some(params), SuiteSource::Corpus(corpus)) => (0..corpus.len())
-                .map(|s| build_plan(corpus.trace(s), base, &params))
-                .collect(),
-            (sampling, _) => {
-                assert!(sampling.is_none(), "sampled replay needs a corpus source");
-                Vec::new()
-            }
-        };
-        let lanes = lane_grid(self.geometries, self.policies);
-        let ntraces = self.specs.len();
-        let workers = schedule::resolve_threads(threads);
-        let nparts = workers
-            .div_ceil(ntraces.max(1))
-            .clamp(1, lanes.len().max(1));
-        let parts: Vec<(usize, usize)> = (0..nparts)
-            .map(|p| (p * lanes.len() / nparts, (p + 1) * lanes.len() / nparts))
-            .collect();
-
+    /// Panics if a lane's BTB geometry is invalid, or if a worker panics.
+    pub fn run(&self, threads: usize) -> Result<RunGrid, RunError> {
+        let grid = self.task_grid(threads)?;
         let (results, scheduler) = schedule::run_grid(
-            nparts * ntraces,
-            workers,
+            grid.len(),
+            grid.workers,
             |_| EngineArena::default(),
-            |arena, t| {
-                let (lo, hi) = parts[t / ntraces];
-                let s = t % ntraces;
-                let part = &lanes[lo..hi];
-                let btb = self.measure_btb;
-                match self.source {
-                    SuiteSource::Streamed => {
-                        let trace = self.specs[s].streamed();
-                        let full = [Segment::full(trace.instructions(), base.warmup_cap)];
-                        let records = |_: &Segment| trace.replay();
-                        // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-                        let results = replay_segments(base, part, btb, &full, records, arena);
-                        fold_segments(&full, &results, part.len())
-                    }
-                    SuiteSource::Corpus(corpus) => {
-                        let trace = corpus.trace(s);
-                        let full = [Segment::full(trace.instructions(), base.warmup_cap)];
-                        let segments = match plans.get(s) {
-                            Some(plan) if !plan.exact => &plan.segments[..],
-                            _ => &full[..],
-                        };
-                        let records = |seg: &Segment| trace.cursor_range(seg.rec_lo, seg.rec_hi);
-                        // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-                        let results = replay_segments(base, part, btb, segments, records, arena);
-                        fold_segments(segments, &results, part.len())
-                    }
-                }
-            },
+            |arena, t| grid.task(arena, t),
         );
+        Ok(grid.assemble(&results, scheduler))
+    }
 
+    /// [`RunSpec::run`] without scheduler counters: the drain goes
+    /// through [`schedule::run_tasks`], which reads no clock, and the
+    /// grid's `scheduler` is the default. An experiment's `render`
+    /// simulates through this, so host time cannot reach its output.
+    ///
+    /// # Errors
+    ///
+    /// As [`RunSpec::run`].
+    ///
+    /// # Panics
+    ///
+    /// As [`RunSpec::run`].
+    pub fn run_untimed(&self, threads: usize) -> Result<RunGrid, RunError> {
+        let grid = self.task_grid(threads)?;
+        let results = schedule::run_tasks(
+            grid.len(),
+            grid.workers,
+            |_| EngineArena::default(),
+            |arena, t| grid.task(arena, t),
+        );
+        Ok(grid.assemble(&results, SchedulerStats::default()))
+    }
+}
+
+/// A checked [`RunSpec`] laid out as `lane part × trace` tasks,
+/// part-major (`t = part · traces + trace`).
+struct TaskGrid<'a> {
+    spec: RunSpec<'a>,
+    /// One sampling plan per trace when the run is sampled.
+    plans: Vec<SamplePlan>,
+    /// The warm-up cap every lane shares.
+    warmup_cap: u64,
+    /// Contiguous, ascending `[lo, hi)` lane ranges.
+    parts: Vec<(usize, usize)>,
+    workers: usize,
+}
+
+impl TaskGrid<'_> {
+    fn len(&self) -> usize {
+        self.parts.len() * self.spec.specs.len()
+    }
+
+    /// Task `t`: replay one trace through one lane part.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a lane's BTB geometry is invalid.
+    fn task(&self, arena: &mut EngineArena, t: usize) -> Vec<LaneMetrics> {
+        let ntraces = self.spec.specs.len();
+        let (lo, hi) = self.parts[t / ntraces];
+        let s = t % ntraces;
+        let part = &self.spec.lanes[lo..hi];
+        match self.spec.source {
+            SuiteSource::Streamed => {
+                let trace = self.spec.specs[s].streamed();
+                let full = [Segment::full(trace.instructions(), self.warmup_cap)];
+                let records = |_: &Segment| trace.replay();
+                // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
+                let results = replay_segments(part, &full, records, arena);
+                fold_segments(&full, &results, part.len())
+            }
+            SuiteSource::Corpus(corpus) => {
+                let trace = corpus.trace(s);
+                let full = [Segment::full(trace.instructions(), self.warmup_cap)];
+                let segments = match self.plans.get(s) {
+                    Some(plan) if !plan.exact => &plan.segments[..],
+                    _ => &full[..],
+                };
+                let records = |seg: &Segment| trace.cursor_range(seg.rec_lo, seg.rec_hi);
+                // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
+                let results = replay_segments(part, segments, records, arena);
+                fold_segments(segments, &results, part.len())
+            }
+        }
+    }
+
+    /// The run's grid from its task results (in task order).
+    fn assemble(self, results: &[Vec<LaneMetrics>], scheduler: SchedulerStats) -> RunGrid {
         // Parts are contiguous and ascending, so concatenating a trace's
         // parts restores its full lane list.
-        let mut cells = Vec::with_capacity(ntraces * lanes.len());
+        let ntraces = self.spec.specs.len();
+        let mut cells = Vec::with_capacity(ntraces * self.spec.lanes.len());
         for s in 0..ntraces {
-            for p in 0..nparts {
+            for p in 0..self.parts.len() {
                 cells.extend_from_slice(&results[p * ntraces + s]);
             }
         }
         RunGrid {
             traces: ntraces,
-            geometries: self.geometries.len(),
-            policies: self.policies.len(),
+            lanes: self.spec.lanes.len(),
             cells,
             scheduler,
-            sampled: self.sampling.map(|_| SampledInfo::from_plans(&plans)),
+            sampled: self
+                .spec
+                .sampling
+                .map(|_| SampledInfo::from_plans(&self.plans)),
         }
     }
 }
@@ -902,5 +1111,233 @@ mod tests {
             assert_eq!(r.instructions, 0);
             assert_eq!(r.icache.accesses, 0);
         }
+    }
+
+    #[test]
+    fn lanes_with_distinct_configs_match_standalone_runs() {
+        // Every knob but block size and warm-up cap may differ between
+        // the lanes of one pass.
+        let trace = spec(19, 150_000).generate();
+        let base = SimConfig::paper_default();
+        let mut wrong_path = base.with_policy(PolicyKind::Ghrp);
+        wrong_path.wrong_path = Some(WrongPathConfig::default());
+        let mut prefetch = base.with_policy(PolicyKind::Srrip);
+        prefetch.prefetch_degree = 2;
+        let mut small_btb = base.with_policy(PolicyKind::Lru);
+        small_btb.btb_entries = 1024;
+        let mut knobs = base.with_policy(PolicyKind::Ghrp);
+        knobs.ghrp.dead_threshold = 1;
+        knobs.ghrp.protect_mru = false;
+        let small_cache = base
+            .with_icache(CacheConfig::with_capacity(16 * 1024, 4, 64).expect("valid geometry"))
+            .with_policy(PolicyKind::Opt);
+        let mut seeded = base.with_policy(PolicyKind::Random);
+        seeded.seed = 7;
+        let configs = [wrong_path, prefetch, small_btb, knobs, small_cache, seeded];
+        let lanes: Vec<LaneSpec> = configs
+            .iter()
+            .map(|&config| LaneSpec {
+                config,
+                measure_btb: true,
+            })
+            .collect();
+        let full = [Segment::full(trace.instructions, base.warmup_cap)];
+        let results = replay_segments(
+            &lanes,
+            &full,
+            |_| trace.records.iter().copied(),
+            &mut EngineArena::default(),
+        );
+        for (r, cfg) in results.iter().zip(&configs) {
+            let alone = Simulator::new(*cfg).run(&trace.records, trace.instructions);
+            assert_eq!(*r, alone, "lane {cfg:?} diverged from its standalone run");
+        }
+    }
+
+    #[test]
+    fn arena_reuse_with_an_offline_lane_matches_fresh_lanes() {
+        // Online lanes reset in place while the OPT lane rebuilds from
+        // the new trace's sequences.
+        let base = SimConfig::paper_default();
+        let lanes = LaneSpec::grid(
+            &base,
+            std::slice::from_ref(&base.icache),
+            &[PolicyKind::Ghrp, PolicyKind::Opt, PolicyKind::Drrip],
+            true,
+        );
+        let mut arena = EngineArena::default();
+        for seed in [23, 29] {
+            let trace = spec(seed, 80_000).generate();
+            let full = [Segment::full(trace.instructions, base.warmup_cap)];
+            let records = |_: &Segment| trace.records.iter().copied();
+            let reused = replay_segments(&lanes, &full, records, &mut arena);
+            let fresh = replay_segments(&lanes, &full, records, &mut EngineArena::default());
+            assert_eq!(reused, fresh, "seed {seed}");
+        }
+    }
+
+    fn run_error(spec: RunSpec<'_>) -> RunError {
+        spec.run(1).expect_err("precondition must fail")
+    }
+
+    #[test]
+    fn mixed_block_sizes_and_warmup_caps_are_errors() {
+        let specs = [spec(31, 20_000)];
+        let base = SimConfig::paper_default();
+        let mut lanes = LaneSpec::grid(
+            &base,
+            std::slice::from_ref(&base.icache),
+            &[PolicyKind::Lru],
+            true,
+        );
+        let mut wide = lanes[0];
+        wide.config.icache = CacheConfig::with_capacity(64 * 1024, 8, 128).expect("valid geometry");
+        lanes.push(wide);
+        let run = |lanes: &[LaneSpec]| {
+            run_error(RunSpec {
+                specs: &specs,
+                source: SuiteSource::Streamed,
+                lanes,
+                sampling: None,
+                part_width: None,
+            })
+        };
+        assert_eq!(
+            run(&lanes),
+            RunError::MixedBlockSize {
+                expected: 64,
+                found: 128
+            }
+        );
+        lanes[1] = lanes[0];
+        lanes[1].config.warmup_cap = 1_000;
+        assert_eq!(
+            run(&lanes),
+            RunError::MixedWarmupCap {
+                expected: base.warmup_cap,
+                found: 1_000
+            }
+        );
+    }
+
+    #[test]
+    fn sampling_a_streamed_source_is_an_error() {
+        let specs = [spec(37, 20_000)];
+        let base = SimConfig::paper_default();
+        let lanes = LaneSpec::grid(
+            &base,
+            std::slice::from_ref(&base.icache),
+            &[PolicyKind::Lru],
+            true,
+        );
+        let err = run_error(RunSpec {
+            specs: &specs,
+            source: SuiteSource::Streamed,
+            lanes: &lanes,
+            sampling: Some(SampleParams::default()),
+            part_width: None,
+        });
+        assert_eq!(err, RunError::SampledStreamed);
+        assert!(err.to_string().contains("corpus source"));
+    }
+
+    #[test]
+    fn a_corpus_that_does_not_match_its_specs_is_an_error() {
+        use fe_trace::corpus::{Corpus, CorpusBuilder, SuiteCorpus};
+        let specs = [spec(41, 20_000), spec(43, 20_000)];
+        let mut b = CorpusBuilder::new();
+        b.push_synthetic(&specs[1].generate()).expect("encodes");
+        b.push_synthetic(&specs[0].generate()).expect("encodes");
+        let swapped =
+            SuiteCorpus::from_corpus(&Corpus::from_bytes(b.finish()).expect("fresh corpus parses"));
+        let base = SimConfig::paper_default();
+        let lanes = LaneSpec::grid(
+            &base,
+            std::slice::from_ref(&base.icache),
+            &[PolicyKind::Lru],
+            true,
+        );
+        let run = |specs: &[WorkloadSpec]| {
+            run_error(RunSpec {
+                specs,
+                source: SuiteSource::Corpus(&swapped),
+                lanes: &lanes,
+                sampling: None,
+                part_width: None,
+            })
+        };
+        assert_eq!(
+            run(&specs[..1]),
+            RunError::CorpusLength {
+                corpus: 2,
+                specs: 1
+            }
+        );
+        assert_eq!(
+            run(&specs),
+            RunError::CorpusName {
+                index: 0,
+                found: specs[1].name.clone(),
+                expected: specs[0].name.clone(),
+            }
+        );
+    }
+
+    #[test]
+    fn an_offline_lane_cannot_be_sampled() {
+        use fe_trace::corpus::{Corpus, CorpusBuilder, SuiteCorpus};
+        let specs = [spec(47, 300_000)];
+        let mut b = CorpusBuilder::new();
+        b.push_synthetic(&specs[0].generate()).expect("encodes");
+        let corpus =
+            SuiteCorpus::from_corpus(&Corpus::from_bytes(b.finish()).expect("fresh corpus parses"));
+        let base = SimConfig::paper_default();
+        let lanes = LaneSpec::grid(
+            &base,
+            std::slice::from_ref(&base.icache),
+            &[PolicyKind::Lru, PolicyKind::Opt],
+            true,
+        );
+        let err = run_error(RunSpec {
+            specs: &specs,
+            source: SuiteSource::Corpus(&corpus),
+            lanes: &lanes,
+            sampling: Some(SampleParams {
+                windows: 16,
+                k: 2,
+                warmup: 1024,
+            }),
+            part_width: None,
+        });
+        assert_eq!(err, RunError::OfflineSampled);
+    }
+
+    #[test]
+    fn selecting_lanes_matches_running_them_alone() {
+        let specs = [spec(53, 60_000), spec(59, 60_000)];
+        let base = SimConfig::paper_default();
+        let pols = [PolicyKind::Lru, PolicyKind::Ghrp, PolicyKind::Srrip];
+        let all = LaneSpec::grid(&base, std::slice::from_ref(&base.icache), &pols, true);
+        let run = |lanes: &[LaneSpec], threads, part_width| {
+            RunSpec {
+                specs: &specs,
+                source: SuiteSource::Streamed,
+                lanes,
+                sampling: None,
+                part_width,
+            }
+            .run(threads)
+            .expect("valid spec")
+        };
+        // One lane per part: every lane replays in its own task.
+        let fused = run(&all, 2, Some(1));
+        assert_eq!(fused.cells, run(&all, 1, None).cells);
+        let picked = [all[2], all[0]];
+        let alone = run(&picked, 1, None);
+        let selected = fused.select(&[2, 0], true);
+        assert_eq!(selected.cells, alone.cells);
+        let no_btb = fused.select(&[2, 0], false);
+        assert!(no_btb.cells.iter().all(|c| c.btb_mpki == 0.0));
+        assert!(fused.cells.iter().any(|c| c.btb_mpki > 0.0));
     }
 }

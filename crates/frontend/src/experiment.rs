@@ -1,18 +1,20 @@
 //! Suite experiments: run many workloads across many policies.
 //!
-//! A suite is a one-geometry [`RunSpec`]: every workload replays **once**
-//! for the whole policy set (see [`crate::engine`]), by default streamed
-//! straight out of the workload walker so no record vector is ever
-//! materialized. [`SuiteResult`] is the per-trace reshape of the run's
-//! grid.
+//! A suite is a one-geometry [`RunSpec`], one lane per policy: every
+//! workload replays **once** for the whole policy set (see
+//! [`crate::engine`]), by default streamed straight out of the workload
+//! walker so no record vector is ever materialized. [`SuiteResult`] is
+//! the per-trace reshape of the run's grid.
 
 #![forbid(unsafe_code)]
 
-use crate::engine::{RunGrid, RunSpec};
+use crate::engine::{LaneSpec, RunError, RunGrid, RunSpec};
 use crate::policy::PolicyKind;
+use crate::sampled::SampleParams;
 use crate::schedule::SchedulerStats;
 use crate::simulator::SimConfig;
 use crate::stats;
+use fe_trace::corpus::SuiteCorpus;
 use fe_trace::synth::{WorkloadCategory, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -58,8 +60,8 @@ impl PartialEq for SuiteResult {
 }
 
 impl SuiteResult {
-    /// Reshape the grid of a one-geometry run of `specs` × `policies`
-    /// into per-trace rows.
+    /// Reshape the grid of a run of `specs` × `policies` (one lane per
+    /// policy, in order) into per-trace rows.
     pub fn from_grid(
         specs: &[WorkloadSpec],
         policies: &[PolicyKind],
@@ -69,7 +71,8 @@ impl SuiteResult {
             .iter()
             .enumerate()
             .map(|(s, spec)| {
-                let lanes = grid.lanes(s, 0);
+                let lanes = grid.row(s);
+                debug_assert_eq!(lanes.len(), policies.len());
                 // Every lane consumed the same shared pass, so the
                 // policy-independent columns come from the first.
                 TraceRow {
@@ -216,30 +219,40 @@ impl SuiteSource<'_> {
     /// Reject a corpus that does not line up with the suite specs —
     /// length and per-index workload names must match exactly, so a
     /// stale cache can never silently replay the wrong workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any mismatch; this is a caller bug, not an I/O error.
-    pub(crate) fn validate(self, specs: &[WorkloadSpec]) {
-        if let SuiteSource::Corpus(corpus) = self {
-            assert_eq!(
-                corpus.len(),
-                specs.len(),
-                "corpus has {} traces but the suite has {} workloads",
-                corpus.len(),
-                specs.len()
-            );
-            for (i, spec) in specs.iter().enumerate() {
-                assert_eq!(
-                    corpus.trace(i).name(),
-                    spec.name,
-                    "corpus trace {i} is `{}` but the suite expects `{}`",
-                    corpus.trace(i).name(),
-                    spec.name
-                );
+    pub(crate) fn validate(self, specs: &[WorkloadSpec]) -> Result<(), RunError> {
+        let SuiteSource::Corpus(corpus) = self else {
+            return Ok(());
+        };
+        if corpus.len() != specs.len() {
+            return Err(RunError::CorpusLength {
+                corpus: corpus.len(),
+                specs: specs.len(),
+            });
+        }
+        for (index, spec) in specs.iter().enumerate() {
+            let found = corpus.trace(index).name();
+            if found != spec.name {
+                return Err(RunError::CorpusName {
+                    index,
+                    found: found.to_owned(),
+                    expected: spec.name.clone(),
+                });
             }
         }
+        Ok(())
     }
+}
+
+/// Run `spec`, for callers whose documented contract is to panic on a
+/// [`RunError`]: the adapters here and the `report` planner, whose
+/// specs meet every precondition by construction except an offline
+/// policy under a non-exact sampled plan.
+///
+/// # Panics
+///
+/// Panics on any [`RunError`], or as [`RunSpec::run`].
+pub fn run_or_panic(spec: &RunSpec<'_>, threads: usize) -> RunGrid {
+    spec.run(threads).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Run a whole suite over `threads` OS threads (`0` = every available
@@ -253,7 +266,8 @@ impl SuiteSource<'_> {
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics (propagated by the thread scope).
+/// Panics if a worker thread panics (propagated by the thread scope) or
+/// if the BTB geometry is invalid.
 pub fn run_suite(
     specs: &[WorkloadSpec],
     base: &SimConfig,
@@ -271,8 +285,10 @@ pub fn run_suite(
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics, or if a corpus source does not
-/// match the suite specs (length or workload names).
+/// Panics if a worker thread panics, if the BTB geometry is invalid, or
+/// if a corpus source does not match the suite specs (length or workload
+/// names) — the [`RunError`]s of [`RunSpec::run`] this adapter turns
+/// into panics.
 pub fn run_suite_from(
     specs: &[WorkloadSpec],
     base: &SimConfig,
@@ -280,17 +296,43 @@ pub fn run_suite_from(
     threads: usize,
     source: SuiteSource<'_>,
 ) -> SuiteResult {
-    let grid = RunSpec {
+    let lanes = LaneSpec::grid(base, std::slice::from_ref(&base.icache), policies, true);
+    let spec = RunSpec {
         specs,
-        base,
         source,
-        geometries: std::slice::from_ref(&base.icache),
-        policies,
-        measure_btb: true,
+        lanes: &lanes,
         sampling: None,
-    }
-    .run(threads);
-    SuiteResult::from_grid(specs, policies, grid)
+        part_width: None,
+    };
+    SuiteResult::from_grid(specs, policies, run_or_panic(&spec, threads))
+}
+
+/// Phase-sampled counterpart of [`run_suite_from`] over a corpus source:
+/// a [`RunSpec`] with sampling on, whose result carries the run's
+/// [`crate::sampled::SampledInfo`].
+///
+/// # Panics
+///
+/// Panics if the corpus does not match `specs`, if an offline policy
+/// meets a non-exact sampled plan, if the BTB geometry is invalid, or if
+/// a worker panics.
+pub fn run_suite_sampled(
+    specs: &[WorkloadSpec],
+    base: &SimConfig,
+    policies: &[PolicyKind],
+    threads: usize,
+    corpus: &SuiteCorpus,
+    params: &SampleParams,
+) -> SuiteResult {
+    let lanes = LaneSpec::grid(base, std::slice::from_ref(&base.icache), policies, true);
+    let spec = RunSpec {
+        specs,
+        source: SuiteSource::Corpus(corpus),
+        lanes: &lanes,
+        sampling: Some(*params),
+        part_width: None,
+    };
+    SuiteResult::from_grid(specs, policies, run_or_panic(&spec, threads))
 }
 
 #[cfg(test)]

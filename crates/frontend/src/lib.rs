@@ -8,14 +8,15 @@
 //!   (first half of the trace, capped) and commit-time GHRP training. It
 //!   is *not* cycle accurate; MPKI is the figure of merit.
 //! * [`engine`] — the one replay loop and the one run driver. A
-//!   [`RunSpec`] (traces, source, geometry × policy lane grid, BTB
-//!   measurement, optional sampling) runs through [`RunSpec::run`]: each
-//!   trace replays once as a list of segments — a full run is one
-//!   segment, a sampled run its plan's — decoding the fetch stream and
-//!   driving the shared predictors exactly once while broadcasting every
-//!   event to per-policy lanes whose counters stay bit-identical to
-//!   standalone [`Simulator`] runs. The result is a per-(trace, geometry,
-//!   policy) [`RunGrid`].
+//!   [`RunSpec`] (traces, source, a list of [`LaneSpec`]s — each a full
+//!   configuration plus its BTB measurement — and optional sampling)
+//!   runs through [`RunSpec::run`]: each trace replays once as a list of
+//!   segments — a full run is one segment, a sampled run its plan's —
+//!   decoding the fetch stream and driving the shared predictors exactly
+//!   once while broadcasting every event to lanes whose counters stay
+//!   bit-identical to standalone [`Simulator`] runs. The result is a
+//!   per-(trace, lane) [`RunGrid`]; unmet preconditions are a
+//!   [`RunError`].
 //! * [`policy`] — [`PolicyKind`]: runtime selection of the replacement
 //!   policy pair (I-cache + BTB) under study.
 //! * [`experiment`] — suite results: the per-trace MPKI table reshaped
@@ -56,7 +57,9 @@ pub mod simulator;
 pub mod stats;
 pub mod sweep;
 
-pub use engine::{run_lanes, ReplaySource, RunGrid, RunSpec, Segment, SliceReplay};
+pub use engine::{
+    run_lanes, LaneSpec, ReplaySource, RunError, RunGrid, RunSpec, Segment, SliceReplay,
+};
 pub use experiment::{SuiteResult, SuiteSource, TraceRow};
 pub use policy::PolicyKind;
 pub use sampled::{

@@ -14,10 +14,11 @@
 //!    deterministic k-means ([`fe_trace::sample::kmeans`]), seeded from
 //!    the trace name, and keep one representative interval per cluster;
 //! 3. replay only the representatives as the run's [`Segment`]s (the
-//!    engine's one replay loop, driven by [`RunSpec::run`]), each
-//!    preceded by a `warmup` instruction prefix of functional warming,
-//!    and combine per-interval MPKI into a cluster-weight-averaged
-//!    estimate with a reported heterogeneity-based error estimate.
+//!    engine's one replay loop, driven by
+//!    [`crate::engine::RunSpec::run`]), each preceded by a `warmup`
+//!    instruction prefix of functional warming, and combine per-interval
+//!    MPKI into a cluster-weight-averaged estimate with a reported
+//!    heterogeneity-based error estimate.
 //!
 //! When `k` covers every interval (or the trace is too small to
 //! sample), the plan is **exact** and the trace replays as one full
@@ -30,17 +31,15 @@
 
 #![forbid(unsafe_code)]
 
-use crate::engine::{RunSpec, Segment};
-use crate::experiment::{SuiteResult, SuiteSource};
-use crate::policy::PolicyKind;
+use crate::engine::Segment;
+pub use crate::experiment::run_suite_sampled;
 use crate::simulator::SimConfig;
-use crate::sweep::{sweep_icaches, SweepResult};
-use fe_trace::corpus::{fnv1a64, CorpusTrace, SuiteCorpus};
+pub use crate::sweep::run_sweep_sampled;
+use fe_trace::corpus::{fnv1a64, CorpusTrace};
 use fe_trace::sample::{kmeans, KMEANS_MAX_ITERATIONS};
 use fe_trace::signature::{
     compute_signatures, splitmix64, TraceSignatures, BASE_WINDOW_INSTRUCTIONS, SIGNATURE_DIM,
 };
-use fe_trace::synth::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 
 /// User-facing sampling knobs (`--sampled=windows,k,warmup`).
@@ -298,74 +297,13 @@ fn plan_from_signatures(
     }
 }
 
-/// Phase-sampled counterpart of [`crate::experiment::run_suite_from`]
-/// over a corpus source: a [`RunSpec`] with sampling on, whose result
-/// carries the run's [`SampledInfo`].
-///
-/// # Panics
-///
-/// As [`RunSpec::run`].
-pub fn run_suite_sampled(
-    specs: &[WorkloadSpec],
-    base: &SimConfig,
-    policies: &[PolicyKind],
-    threads: usize,
-    corpus: &SuiteCorpus,
-    params: &SampleParams,
-) -> SuiteResult {
-    let grid = RunSpec {
-        specs,
-        base,
-        source: SuiteSource::Corpus(corpus),
-        geometries: std::slice::from_ref(&base.icache),
-        policies,
-        measure_btb: true,
-        sampling: Some(*params),
-    }
-    .run(threads);
-    SuiteResult::from_grid(specs, policies, grid)
-}
-
-/// Phase-sampled counterpart of [`crate::sweep::run_sweep_with`] over a
-/// corpus source. Returns per-point I-cache and BTB means plus the
-/// aggregated [`SampledInfo`].
-///
-/// # Panics
-///
-/// As [`RunSpec::run`], plus invalid sweep geometries.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sweep_sampled(
-    specs: &[WorkloadSpec],
-    base: &SimConfig,
-    policies: &[PolicyKind],
-    geometries: &[(u64, u32)],
-    threads: usize,
-    corpus: &SuiteCorpus,
-    params: &SampleParams,
-    measure_btb: bool,
-) -> (SweepResult, SampledInfo) {
-    // lint:allow(panic-path): once-per-sweep geometry validation before any replay, documented `# Panics`
-    let icaches = sweep_icaches(base, geometries);
-    let grid = RunSpec {
-        specs,
-        base,
-        source: SuiteSource::Corpus(corpus),
-        geometries: &icaches,
-        policies,
-        measure_btb,
-        sampling: Some(*params),
-    }
-    .run(threads);
-    let info = grid.sampled.unwrap_or_default();
-    (SweepResult::from_grid(geometries, policies, grid), info)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::{run_suite_from, SuiteSource};
-    use fe_trace::corpus::{Corpus, CorpusBuilder};
-    use fe_trace::synth::suite;
+    use crate::policy::PolicyKind;
+    use fe_trace::corpus::{Corpus, CorpusBuilder, SuiteCorpus};
+    use fe_trace::synth::{suite, WorkloadSpec};
 
     fn corpus_for(specs: &[WorkloadSpec]) -> SuiteCorpus {
         let mut b = CorpusBuilder::new();

@@ -12,13 +12,15 @@
 
 #![forbid(unsafe_code)]
 
-use crate::engine::{LaneMetrics, RunGrid, RunSpec};
-use crate::experiment::SuiteSource;
+use crate::engine::{LaneMetrics, LaneSpec, RunGrid, RunSpec};
+use crate::experiment::{run_or_panic, SuiteSource};
 use crate::policy::PolicyKind;
+use crate::sampled::{SampleParams, SampledInfo};
 use crate::schedule::SchedulerStats;
 use crate::simulator::SimConfig;
 use crate::stats;
 use fe_cache::CacheConfig;
+use fe_trace::corpus::SuiteCorpus;
 use fe_trace::synth::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -33,7 +35,7 @@ pub struct SweepPoint {
     /// Mean I-cache MPKI per policy (parallel to `SweepResult::policies`).
     pub icache_means: Vec<f64>,
     /// Mean BTB MPKI per policy — all zeros unless the sweep ran with
-    /// BTB measurement on ([`RunSpec::measure_btb`]).
+    /// BTB measurement on ([`LaneSpec::measure_btb`]).
     pub btb_means: Vec<f64>,
 }
 
@@ -58,7 +60,8 @@ impl PartialEq for SweepResult {
 }
 
 impl SweepResult {
-    /// Reshape the grid of a run over `geometries` × `policies` into
+    /// Reshape the grid of a run over `geometries` × `policies` (lanes
+    /// geometry-major, as [`LaneSpec::grid`] lists them) into
     /// per-geometry means across its traces.
     pub fn from_grid(
         geometries: &[(u64, u32)],
@@ -75,7 +78,7 @@ impl SweepResult {
                     (0..policies.len())
                         .map(|p| {
                             let column: Vec<f64> = (0..grid.traces())
-                                .map(|s| metric(&grid.lanes(s, g)[p]))
+                                .map(|s| metric(&grid.row(s)[g * policies.len() + p]))
                                 .collect();
                             stats::mean(&column)
                         })
@@ -174,17 +177,49 @@ pub fn run_sweep_with(
     measure_btb: bool,
 ) -> SweepResult {
     let icaches = sweep_icaches(base, geometries);
-    let grid = RunSpec {
+    let lanes = LaneSpec::grid(base, &icaches, policies, measure_btb);
+    let spec = RunSpec {
         specs,
-        base,
         source,
-        geometries: &icaches,
-        policies,
-        measure_btb,
+        lanes: &lanes,
         sampling: None,
-    }
-    .run(threads);
-    SweepResult::from_grid(geometries, policies, grid)
+        part_width: None,
+    };
+    SweepResult::from_grid(geometries, policies, run_or_panic(&spec, threads))
+}
+
+/// Phase-sampled counterpart of [`run_sweep_with`] over a corpus source.
+/// Returns per-point I-cache and BTB means plus the aggregated
+/// [`SampledInfo`].
+///
+/// # Panics
+///
+/// Panics if a geometry is invalid, if the corpus does not match
+/// `specs`, if an offline policy meets a non-exact sampled plan, or if a
+/// worker panics.
+#[allow(clippy::too_many_arguments)]
+pub fn run_sweep_sampled(
+    specs: &[WorkloadSpec],
+    base: &SimConfig,
+    policies: &[PolicyKind],
+    geometries: &[(u64, u32)],
+    threads: usize,
+    corpus: &SuiteCorpus,
+    params: &SampleParams,
+    measure_btb: bool,
+) -> (SweepResult, SampledInfo) {
+    let icaches = sweep_icaches(base, geometries);
+    let lanes = LaneSpec::grid(base, &icaches, policies, measure_btb);
+    let spec = RunSpec {
+        specs,
+        source: SuiteSource::Corpus(corpus),
+        lanes: &lanes,
+        sampling: Some(*params),
+        part_width: None,
+    };
+    let grid = run_or_panic(&spec, threads);
+    let info = grid.sampled.unwrap_or_default();
+    (SweepResult::from_grid(geometries, policies, grid), info)
 }
 
 #[cfg(test)]
