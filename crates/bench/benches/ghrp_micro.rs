@@ -41,7 +41,7 @@ fn micro(c: &mut Criterion) {
 
     // Steady-state cache access loop (hit-dominated, like real fetch).
     let cache_cfg = CacheConfig::with_capacity(64 * 1024, 8, 64).unwrap();
-    let shared = SharedGhrp::new(cfg, cache_cfg.offset_bits());
+    let shared = SharedGhrp::new(cfg, cache_cfg);
     let mut cache = Cache::new(cache_cfg, GhrpPolicy::new(cache_cfg, shared));
     let blocks: Vec<u64> = (0..512u64).map(|i| 0x10000 + i * 64).collect();
     for &b in &blocks {

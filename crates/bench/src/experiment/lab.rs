@@ -137,7 +137,7 @@ impl Experiment for GhrpDebug {
         let t = spec.generate();
         let cfg = CacheConfig::with_capacity(64 * 1024, 8, 64)
             .expect("64KB/8-way/64B is a valid geometry");
-        let shared = SharedGhrp::new(GhrpConfig::default(), cfg.offset_bits());
+        let shared = SharedGhrp::new(GhrpConfig::default(), cfg);
         let mut c = Cache::new(cfg, GhrpPolicy::new(cfg, shared.clone()));
         for chunk in FetchStream::new(t.records.iter().copied(), 64) {
             if chunk.starts_group {

@@ -97,9 +97,31 @@ pub struct Btb<P> {
 ///
 /// # Errors
 ///
-/// Returns an error when `entries / ways` is not a power of two.
+/// Returns an error when `ways` or `entries / ways` is not a power of two
+/// (zero ways included).
 pub fn btb_config(entries: u32, ways: u32) -> Result<CacheConfig, ConfigError> {
-    CacheConfig::with_sets(entries / ways, ways, INSTRUCTION_BYTES)
+    CacheConfig::with_sets(
+        entries.checked_div(ways).unwrap_or(0),
+        ways,
+        INSTRUCTION_BYTES,
+    )
+}
+
+impl<P> Btb<P> {
+    /// Swap in `policy`, returning this BTB with it and the old policy;
+    /// entries, targets and statistics carry over (see
+    /// [`Cache::replace_policy`]).
+    pub fn replace_policy<Q>(self, policy: Q) -> (Btb<Q>, P) {
+        let (entries, old) = self.entries.replace_policy(policy);
+        (
+            Btb {
+                entries,
+                targets: self.targets,
+                stats: self.stats,
+            },
+            old,
+        )
+    }
 }
 
 impl<P: ReplacementPolicy> Btb<P> {
@@ -182,6 +204,10 @@ impl<P: ReplacementPolicy> Btb<P> {
     }
 }
 
+/// [`GhrpBtbPolicy`]'s mark for a frame without a branch. Branch PCs are
+/// instruction-aligned, so none can equal it.
+const NO_PC: u64 = u64::MAX;
+
 /// GHRP-driven BTB replacement (§III.E).
 ///
 /// Holds a clone of the I-cache's [`SharedGhrp`]. On each BTB access the
@@ -203,9 +229,10 @@ pub struct GhrpBtbPolicy {
     stamps: Vec<u64>,
     clock: u64,
     predicted_dead: Vec<bool>,
-    /// Branch PC resident in each frame (simulator-side mirror, used to
-    /// recompute fresh predictions during victim selection).
-    frame_pc: Vec<Option<u64>>,
+    /// Branch PC resident in each frame ([`NO_PC`] for none; a
+    /// simulator-side mirror, used to recompute fresh predictions during
+    /// victim selection).
+    frame_pc: Vec<u64>,
     current_pred: bool,
     // Immutable-after-construction config flags, cached out of the shared
     // state so the hot path skips a borrow + config copy per query.
@@ -249,7 +276,7 @@ impl GhrpBtbPolicy {
             stamps: vec![0; btb_cfg.frames()],
             clock: 0,
             predicted_dead: vec![false; btb_cfg.frames()],
-            frame_pc: vec![None; btb_cfg.frames()],
+            frame_pc: vec![NO_PC; btb_cfg.frames()],
             current_pred: false,
             btb_enable_bypass: gcfg.btb_enable_bypass,
             fresh_victim_prediction: gcfg.fresh_victim_prediction,
@@ -277,7 +304,7 @@ impl ReplacementPolicy for GhrpBtbPolicy {
 
     fn on_hit(&mut self, way: usize, ctx: &AccessContext) {
         self.predicted_dead[ctx.set * self.ways + way] = self.current_pred;
-        self.frame_pc[ctx.set * self.ways + way] = Some(ctx.addr);
+        self.frame_pc[ctx.set * self.ways + way] = ctx.addr;
         self.touch(ctx.set, way);
     }
 
@@ -290,7 +317,8 @@ impl ReplacementPolicy for GhrpBtbPolicy {
         let fresh = self.fresh_victim_prediction;
         for w in 0..self.ways {
             let dead = if fresh {
-                self.frame_pc[base + w].is_some_and(|pc| self.predict_for_victim(pc))
+                let pc = self.frame_pc[base + w];
+                pc != NO_PC && self.predict_for_victim(pc)
             } else {
                 self.predicted_dead[base + w]
             };
@@ -306,12 +334,12 @@ impl ReplacementPolicy for GhrpBtbPolicy {
 
     fn on_evict(&mut self, way: usize, _victim_block: u64, ctx: &AccessContext) {
         self.predicted_dead[ctx.set * self.ways + way] = false;
-        self.frame_pc[ctx.set * self.ways + way] = None;
+        self.frame_pc[ctx.set * self.ways + way] = NO_PC;
     }
 
     fn on_fill(&mut self, way: usize, ctx: &AccessContext) {
         self.predicted_dead[ctx.set * self.ways + way] = self.current_pred;
-        self.frame_pc[ctx.set * self.ways + way] = Some(ctx.addr);
+        self.frame_pc[ctx.set * self.ways + way] = ctx.addr;
         self.touch(ctx.set, way);
     }
 
@@ -322,7 +350,7 @@ impl ReplacementPolicy for GhrpBtbPolicy {
         self.stamps.fill(0);
         self.clock = 0;
         self.predicted_dead.fill(false);
-        self.frame_pc.fill(None);
+        self.frame_pc.fill(NO_PC);
         self.current_pred = false;
         self.fallback_predictions = 0;
         self.dead_victims = 0;
@@ -351,6 +379,11 @@ mod tests {
     use fe_cache::policy::Lru;
     use ghrp_core::{BlockMeta, GhrpConfig};
 
+    /// The I-cache the shared GHRP state of these tests mirrors.
+    fn icache() -> CacheConfig {
+        CacheConfig::with_capacity(64 * 1024, 8, 64).unwrap()
+    }
+
     fn lru_btb(entries: u32, ways: u32) -> Btb<Lru> {
         let cfg = btb_config(entries, ways).unwrap();
         Btb::new(cfg, Lru::new(cfg))
@@ -362,6 +395,12 @@ mod tests {
         // Two branches 4 bytes apart (same 64B I-cache block) map to
         // different BTB sets.
         assert_ne!(cfg.set_of(0x1000), cfg.set_of(0x1004));
+    }
+
+    #[test]
+    fn zero_ways_is_an_error_not_a_division_panic() {
+        assert!(btb_config(4096, 0).is_err());
+        assert!(btb_config(4096, 3).is_err());
     }
 
     #[test]
@@ -420,19 +459,19 @@ mod tests {
             btb_enable_bypass: true, // this test exercises the bypass path
             ..GhrpConfig::default()
         };
-        let shared = SharedGhrp::new(cfg, 6);
+        let shared = SharedGhrp::new(cfg, icache());
         // Train a signature to saturation and attach it to block 0x1000.
         let sig = 0x123;
         for _ in 0..3 {
             shared.train(sig, true);
         }
-        shared.set_meta(
+        assert!(shared.set_meta(
             0x1000,
             BlockMeta {
                 signature: sig,
                 predicted_dead: true,
             },
-        );
+        ));
         let mut btb = ghrp_btb(&shared);
         // Bypass: branch in block 0x1000 predicts dead → never allocated.
         assert!(!btb.lookup_and_update(0x1004, 0x42));
@@ -450,7 +489,7 @@ mod tests {
             btb_enable_bypass: false,
             ..GhrpConfig::default()
         };
-        let shared = SharedGhrp::new(cfg, 6);
+        let shared = SharedGhrp::new(cfg, icache());
         let mut btb = ghrp_btb(&shared);
         // Two branches in one BTB set (8 sets × 2 ways; pc step = 8*4
         // bytes). Both allocate live.
@@ -464,13 +503,13 @@ mod tests {
         for _ in 0..3 {
             shared.train(sig, true);
         }
-        shared.set_meta(
+        assert!(shared.set_meta(
             a & !63,
             BlockMeta {
                 signature: sig,
                 predicted_dead: true,
             },
-        );
+        ));
         // Refresh a's prediction bit (hit) so the entry is marked dead,
         // then insert c — the victim must be a (dead), not LRU order.
         btb.lookup_and_update(a, 1); // a is now MRU but predicted dead

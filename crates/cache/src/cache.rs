@@ -67,6 +67,11 @@ impl CacheStats {
     }
 }
 
+/// Tag of an invalid frame. Tags are block addresses, aligned to the
+/// block size, so no block of a cache with blocks of 2 B or more can
+/// equal it.
+const INVALID: u64 = u64::MAX;
+
 /// A set-associative cache with a pluggable [`ReplacementPolicy`].
 ///
 /// The cache stores block addresses as full tags (no aliasing) and delegates
@@ -75,11 +80,42 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct Cache<P> {
     cfg: CacheConfig,
-    /// `sets × ways` frames; `None` = invalid.
-    tags: Vec<Option<u64>>,
+    /// `sets × ways` frames; [`INVALID`] marks an invalid frame. A plain
+    /// `u64` rather than `Option<u64>` keeps an 8-way set's tags in one
+    /// 64-byte line.
+    tags: Vec<u64>,
     policy: P,
     stats: CacheStats,
     efficiency: Option<EfficiencyTracker>,
+}
+
+impl<P> Cache<P> {
+    /// Swap in `policy`, returning this cache with it and the old policy.
+    /// Geometry, contents, statistics and efficiency tracking carry over
+    /// untouched.
+    ///
+    /// This lets a caller that received a `Cache<AnyPolicy>`-style cache
+    /// unwrap the concrete policy into a monomorphic `Cache<Q>`: swap in
+    /// `()`, match on the returned policy, then swap the payload back in.
+    pub fn replace_policy<Q>(self, policy: Q) -> (Cache<Q>, P) {
+        let Cache {
+            cfg,
+            tags,
+            policy: old,
+            stats,
+            efficiency,
+        } = self;
+        (
+            Cache {
+                cfg,
+                tags,
+                policy,
+                stats,
+                efficiency,
+            },
+            old,
+        )
+    }
 }
 
 impl<P: ReplacementPolicy> Cache<P> {
@@ -94,7 +130,7 @@ impl<P: ReplacementPolicy> Cache<P> {
         );
         Cache {
             cfg,
-            tags: vec![None; cfg.frames()],
+            tags: vec![INVALID; cfg.frames()],
             policy,
             stats: CacheStats::default(),
             efficiency: None,
@@ -139,7 +175,7 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// with the same geometry and policy arguments; per-worker lane
     /// arenas use this to recycle caches across suite tasks.
     pub fn reset(&mut self) {
-        self.tags.fill(None);
+        self.tags.fill(INVALID);
         self.stats.reset();
         self.policy.reset();
         if let Some(e) = &mut self.efficiency {
@@ -172,13 +208,13 @@ impl<P: ReplacementPolicy> Cache<P> {
 
     /// Number of valid frames.
     pub fn valid_frames(&self) -> usize {
-        self.tags.iter().filter(|t| t.is_some()).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
     fn find(&self, block: u64) -> Option<usize> {
         let set = self.cfg.set_of(block);
         let base = set * self.cfg.ways() as usize;
-        (0..self.cfg.ways() as usize).find(|&w| self.tags[base + w] == Some(block))
+        (0..self.cfg.ways() as usize).find(|&w| self.tags[base + w] == block)
     }
 
     /// Install `addr`'s block without counting an access — a prefetch.
@@ -206,17 +242,16 @@ impl<P: ReplacementPolicy> Cache<P> {
         };
         let base = set * self.cfg.ways() as usize;
         let ways = self.cfg.ways() as usize;
-        let way = if let Some(w) = (0..ways).find(|&w| self.tags[base + w].is_none()) {
+        let way = if let Some(w) = (0..ways).find(|&w| self.tags[base + w] == INVALID) {
             w
         } else {
             let w = self.policy.choose_victim(&ctx);
             assert!(w < ways, "policy chose way {w} of {ways}");
             // The set is full here (no invalid frame was found above), so
-            // every way holds a tag; the `if let` keeps the hot path free
-            // of panicking calls.
+            // every way holds a tag.
             let victim = self.tags[base + w];
-            debug_assert!(victim.is_some(), "full set has a valid tag in every way");
-            if let Some(victim) = victim {
+            debug_assert!(victim != INVALID, "full set has a valid tag in every way");
+            if victim != INVALID {
                 self.policy.on_evict(w, victim, &ctx);
                 if let Some(e) = &mut self.efficiency {
                     e.on_evict(set, w);
@@ -225,7 +260,7 @@ impl<P: ReplacementPolicy> Cache<P> {
             }
             w
         };
-        self.tags[base + way] = Some(block);
+        self.tags[base + way] = block;
         self.policy.on_fill(way, &ctx);
         if let Some(e) = &mut self.efficiency {
             e.on_fill(set, way);
@@ -283,7 +318,7 @@ impl<P: ReplacementPolicy> Cache<P> {
         let base = set * self.cfg.ways() as usize;
         let ways = self.cfg.ways() as usize;
 
-        if let Some(way) = (0..ways).find(|&w| self.tags[base + w] == Some(block)) {
+        if let Some(way) = (0..ways).find(|&w| self.tags[base + w] == block) {
             self.stats.hits += 1;
             self.policy.on_hit(way, &ctx);
             if let Some(e) = &mut self.efficiency {
@@ -299,26 +334,25 @@ impl<P: ReplacementPolicy> Cache<P> {
         }
 
         // Prefer an invalid frame; otherwise ask the policy for a victim.
-        let (way, evicted) = if let Some(w) = (0..ways).find(|&w| self.tags[base + w].is_none()) {
+        let (way, evicted) = if let Some(w) = (0..ways).find(|&w| self.tags[base + w] == INVALID) {
             (w, None)
         } else {
             let w = self.policy.choose_victim(&ctx);
             assert!(w < ways, "policy chose way {w} of {ways}");
             // The set is full here (no invalid frame was found above), so
-            // every way holds a tag; the `if let` keeps the hot path free
-            // of panicking calls.
+            // every way holds a tag.
             let victim = self.tags[base + w];
-            debug_assert!(victim.is_some(), "full set has a valid tag in every way");
-            if let Some(victim) = victim {
+            debug_assert!(victim != INVALID, "full set has a valid tag in every way");
+            if victim != INVALID {
                 self.policy.on_evict(w, victim, &ctx);
                 if let Some(e) = &mut self.efficiency {
                     e.on_evict(set, w);
                 }
                 self.stats.evictions += 1;
             }
-            (w, victim)
+            (w, (victim != INVALID).then_some(victim))
         };
-        self.tags[base + way] = Some(block);
+        self.tags[base + way] = block;
         self.policy.on_fill(way, &ctx);
         if let Some(e) = &mut self.efficiency {
             e.on_fill(set, way);
@@ -384,6 +418,17 @@ mod tests {
         c.reset_stats();
         assert_eq!(c.stats(), CacheStats::default());
         assert!(c.access(0x1000, 0).is_hit(), "contents survive reset");
+    }
+
+    #[test]
+    fn replace_policy_keeps_contents_and_stats() {
+        let mut c = small();
+        c.access(0x1000, 0);
+        c.access(0x1000, 0);
+        let (shell, lru) = c.replace_policy(());
+        let (mut c, ()) = shell.replace_policy(lru);
+        assert_eq!((c.stats().accesses, c.stats().hits), (2, 1));
+        assert!(c.access(0x1000, 0).is_hit(), "contents survive the swap");
     }
 
     #[test]

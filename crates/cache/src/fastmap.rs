@@ -2,13 +2,13 @@
 //!
 //! The standard library's default hasher (SipHash-1-3) is keyed and
 //! DoS-resistant, which the simulator's internal bookkeeping maps do not
-//! need: their keys are block addresses and branch PCs produced by the
-//! simulation itself, and the maps are only ever used for keyed
-//! get/insert/remove (never iterated), so hash quality affects speed but
-//! not results. Profiling the single-pass engine showed `SipHash` in the
-//! per-lane hot paths — the BTB target store (one insert per taken branch
-//! per lane) and the shared GHRP block-metadata store (several probes per
-//! I-cache access) — so those maps use [`FastMap`] instead.
+//! need: their keys are addresses and IDs produced by the simulation
+//! itself, and the maps are only ever used for keyed get/insert/remove
+//! (never iterated), so hash quality affects speed but not results. The
+//! synthetic walker's per-branch state maps use [`FastMap`]. The per-lane
+//! stores that once did — the BTB targets and the shared GHRP block
+//! metadata — are now flat arrays indexed by cache frame, so no map sits
+//! on a policy lane's path.
 //!
 //! The mixer is a Fibonacci-style multiply with an xor-shift finalizer.
 //! The finalizer matters here: simulator keys are block-aligned addresses

@@ -164,48 +164,121 @@ impl GhrpConfig {
 
     /// Check invariants; called by the predictor constructors.
     ///
+    /// Everything the per-access code relies on is checked here once, so
+    /// the hot path needs no argument checks of its own: every table index
+    /// is 1..=31 bits wide and every history shift is below 64.
+    ///
     /// # Errors
     ///
-    /// Returns a description of the first violated invariant.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.table_entries.is_power_of_two() || self.table_entries == 0 {
-            return Err(format!(
-                "table_entries must be a power of two, got {}",
-                self.table_entries
-            ));
+    /// Returns the first violated invariant.
+    pub fn validate(&self) -> Result<(), GhrpConfigError> {
+        if !self.table_entries.is_power_of_two() || !(2..=1 << 31).contains(&self.table_entries) {
+            return Err(GhrpConfigError::TableEntries(self.table_entries));
         }
         if self.num_tables == 0 || self.num_tables > 8 {
-            return Err(format!("num_tables must be 1..=8, got {}", self.num_tables));
+            return Err(GhrpConfigError::NumTables(self.num_tables));
         }
         if !(1..=8).contains(&self.counter_bits) {
-            return Err(format!(
-                "counter_bits must be 1..=8, got {}",
-                self.counter_bits
-            ));
+            return Err(GhrpConfigError::CounterBits(self.counter_bits));
         }
         let max = self.counter_max();
         if self.dead_threshold > max || self.bypass_threshold > max || self.btb_dead_threshold > max
         {
-            return Err(format!(
-                "thresholds must be <= counter max {max}: dead={} bypass={} btb={}",
-                self.dead_threshold, self.bypass_threshold, self.btb_dead_threshold
-            ));
+            return Err(GhrpConfigError::Threshold {
+                max,
+                dead: self.dead_threshold,
+                bypass: self.bypass_threshold,
+                btb: self.btb_dead_threshold,
+            });
         }
         if self.history_bits == 0 || self.history_bits > 64 {
-            return Err(format!(
-                "history_bits must be 1..=64, got {}",
-                self.history_bits
-            ));
+            return Err(GhrpConfigError::HistoryBits(self.history_bits));
         }
-        if self.shift_per_access() == 0 || self.shift_per_access() > self.history_bits {
-            return Err(format!(
-                "shift per access ({}) must be 1..=history_bits",
-                self.shift_per_access()
-            ));
+        let shift = self
+            .pc_bits_per_access
+            .saturating_add(self.pad_bits_per_access);
+        if shift == 0 || shift > self.history_bits || shift >= 64 {
+            return Err(GhrpConfigError::ShiftPerAccess {
+                pc_bits: self.pc_bits_per_access,
+                pad_bits: self.pad_bits_per_access,
+                history_bits: self.history_bits,
+            });
         }
         Ok(())
     }
 }
+
+/// A [`GhrpConfig`] field outside the range the predictor supports.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GhrpConfigError {
+    /// `table_entries` is not a power of two in `2..=2^31` (a 1-entry
+    /// table has a zero-bit index, which the skewed hashes cannot
+    /// produce).
+    TableEntries(usize),
+    /// `num_tables` is not in `1..=8`.
+    NumTables(usize),
+    /// `counter_bits` is not in `1..=8`.
+    CounterBits(u32),
+    /// A threshold exceeds the counter maximum.
+    Threshold {
+        /// The counter maximum.
+        max: u8,
+        /// `dead_threshold`.
+        dead: u8,
+        /// `bypass_threshold`.
+        bypass: u8,
+        /// `btb_dead_threshold`.
+        btb: u8,
+    },
+    /// `history_bits` is not in `1..=64`.
+    HistoryBits(u32),
+    /// The per-access history shift (PC bits plus padding) is not in
+    /// `1..=history_bits`, or reaches 64 (a whole-register shift).
+    ShiftPerAccess {
+        /// `pc_bits_per_access`.
+        pc_bits: u32,
+        /// `pad_bits_per_access`.
+        pad_bits: u32,
+        /// `history_bits`.
+        history_bits: u32,
+    },
+}
+
+impl std::fmt::Display for GhrpConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            GhrpConfigError::TableEntries(n) => {
+                write!(
+                    f,
+                    "table_entries must be a power of two in 2..=2^31, got {n}"
+                )
+            }
+            GhrpConfigError::NumTables(n) => write!(f, "num_tables must be 1..=8, got {n}"),
+            GhrpConfigError::CounterBits(n) => write!(f, "counter_bits must be 1..=8, got {n}"),
+            GhrpConfigError::Threshold {
+                max,
+                dead,
+                bypass,
+                btb,
+            } => write!(
+                f,
+                "thresholds must be <= counter max {max}: dead={dead} bypass={bypass} btb={btb}"
+            ),
+            GhrpConfigError::HistoryBits(n) => write!(f, "history_bits must be 1..=64, got {n}"),
+            GhrpConfigError::ShiftPerAccess {
+                pc_bits,
+                pad_bits,
+                history_bits,
+            } => write!(
+                f,
+                "shift per access ({pc_bits} PC + {pad_bits} pad bits) must be \
+                 1..=history_bits ({history_bits}) and below 64"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GhrpConfigError {}
 
 #[cfg(test)]
 mod tests {
@@ -242,12 +315,66 @@ mod tests {
             table_entries: 1000,
             ..GhrpConfig::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), Err(GhrpConfigError::TableEntries(1000)));
         let c = GhrpConfig {
             num_tables: 0,
             ..GhrpConfig::default()
         };
-        assert!(c.validate().is_err());
+        assert_eq!(c.validate(), Err(GhrpConfigError::NumTables(0)));
+    }
+
+    /// A 1-entry table has a zero-bit index; it used to pass validation
+    /// and panic at the first prediction.
+    #[test]
+    fn validate_rejects_single_entry_tables() {
+        let c = GhrpConfig {
+            table_entries: 1,
+            ..GhrpConfig::default()
+        };
+        assert_eq!(c.validate(), Err(GhrpConfigError::TableEntries(1)));
+        let c = GhrpConfig {
+            table_entries: 2,
+            ..GhrpConfig::default()
+        };
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    /// A 64-bit per-access shift used to pass validation and overflow the
+    /// history shift (a panic in debug, a wrapped mask in release).
+    #[test]
+    fn validate_rejects_whole_register_shifts() {
+        let c = GhrpConfig {
+            history_bits: 64,
+            pc_bits_per_access: 64,
+            pad_bits_per_access: 0,
+            ..GhrpConfig::default()
+        };
+        let err = c.validate().expect_err("a 64-bit shift must be rejected");
+        assert_eq!(
+            err,
+            GhrpConfigError::ShiftPerAccess {
+                pc_bits: 64,
+                pad_bits: 0,
+                history_bits: 64
+            }
+        );
+        assert!(err.to_string().contains("below 64"), "{err}");
+        let c = GhrpConfig {
+            pc_bits_per_access: u32::MAX,
+            pad_bits_per_access: 1,
+            ..GhrpConfig::default()
+        };
+        assert!(matches!(
+            c.validate(),
+            Err(GhrpConfigError::ShiftPerAccess { .. })
+        ));
+        let c = GhrpConfig {
+            history_bits: 64,
+            pc_bits_per_access: 62,
+            pad_bits_per_access: 1,
+            ..GhrpConfig::default()
+        };
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

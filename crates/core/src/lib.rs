@@ -38,7 +38,7 @@
 //! use ghrp_core::{GhrpConfig, GhrpPolicy, SharedGhrp};
 //!
 //! let cache_cfg = CacheConfig::with_capacity(64 * 1024, 8, 64)?;
-//! let shared = SharedGhrp::new(GhrpConfig::default(), cache_cfg.offset_bits());
+//! let shared = SharedGhrp::new(GhrpConfig::default(), cache_cfg);
 //! let mut icache = Cache::new(cache_cfg, GhrpPolicy::new(cache_cfg, shared.clone()));
 //! icache.access(0x1_0000, 0x1_0000);
 //! # Ok::<(), fe_cache::ConfigError>(())
@@ -56,7 +56,7 @@ pub mod signature;
 pub mod storage;
 pub mod tables;
 
-pub use config::{Aggregation, GhrpConfig};
+pub use config::{Aggregation, GhrpConfig, GhrpConfigError};
 pub use history::SpeculativeHistory;
 pub use policy::GhrpPolicy;
 pub use shared::{BlockMeta, SharedGhrp};

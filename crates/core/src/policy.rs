@@ -6,6 +6,10 @@ use crate::shared::SharedGhrp;
 use fe_cache::{AccessContext, CacheConfig, ReplacementPolicy};
 use serde::{Deserialize, Serialize};
 
+/// Shadow tag of an empty frame. Block addresses are aligned to the block
+/// size, so no block of a cache with blocks of 2 B or more can equal it.
+const NO_BLOCK: u64 = u64::MAX;
+
 /// Diagnostic counters for a GHRP policy instance.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GhrpPolicyStats {
@@ -51,13 +55,11 @@ pub struct GhrpPolicy {
     /// exact timestamps).
     stamps: Vec<u64>,
     clock: u64,
-    /// Which block occupies each frame (policy-side mirror of the tag
-    /// array, needed to read victim metadata during victim selection).
-    frame_block: Vec<Option<u64>>,
     /// Signature of the in-flight access, computed in `on_access`.
     current_sig: u16,
-    /// Shadow LRU tag array used for decoupled training.
-    shadow_block: Vec<Option<u64>>,
+    /// Shadow LRU tag array used for decoupled training; [`NO_BLOCK`]
+    /// marks an empty shadow frame.
+    shadow_block: Vec<u64>,
     shadow_sig: Vec<u16>,
     shadow_stamps: Vec<u64>,
     shadow_training: bool,
@@ -72,8 +74,15 @@ pub struct GhrpPolicy {
 
 impl GhrpPolicy {
     /// Create a GHRP policy for a cache with geometry `cfg`, backed by the
-    /// `shared` predictor (which the BTB may also hold).
+    /// `shared` predictor (which the BTB may also hold). `shared` must
+    /// have been built for the same geometry: its block metadata is
+    /// indexed by this cache's frames.
     pub fn new(cfg: CacheConfig, shared: SharedGhrp) -> GhrpPolicy {
+        debug_assert_eq!(
+            shared.icache_config(),
+            cfg,
+            "the shared GHRP state mirrors another I-cache geometry"
+        );
         let gcfg = shared.config();
         let shadow_training = gcfg.shadow_training;
         GhrpPolicy {
@@ -81,9 +90,8 @@ impl GhrpPolicy {
             ways: cfg.ways() as usize,
             stamps: vec![0; cfg.frames()],
             clock: 0,
-            frame_block: vec![None; cfg.frames()],
             current_sig: 0,
-            shadow_block: vec![None; if shadow_training { cfg.frames() } else { 0 }],
+            shadow_block: vec![NO_BLOCK; if shadow_training { cfg.frames() } else { 0 }],
             shadow_sig: vec![0; if shadow_training { cfg.frames() } else { 0 }],
             shadow_stamps: vec![0; if shadow_training { cfg.frames() } else { 0 }],
             shadow_training,
@@ -116,7 +124,7 @@ impl GhrpPolicy {
         let base = ctx.set * self.ways;
         self.clock += 1;
         for w in 0..self.ways {
-            if self.shadow_block[base + w] == Some(ctx.block_addr) {
+            if self.shadow_block[base + w] == ctx.block_addr {
                 // Shadow hit: the previous signature led to a reuse.
                 self.shared.train(self.shadow_sig[base + w], false);
                 self.shadow_sig[base + w] = self.current_sig;
@@ -128,15 +136,15 @@ impl GhrpPolicy {
         let victim = (0..self.ways)
             .min_by_key(|&w| {
                 (
-                    self.shadow_block[base + w].is_some(),
+                    self.shadow_block[base + w] != NO_BLOCK,
                     self.shadow_stamps[base + w],
                 )
             })
             .unwrap_or(0); // ways >= 1 by construction; hot path stays panic-free
-        if self.shadow_block[base + victim].is_some() {
+        if self.shadow_block[base + victim] != NO_BLOCK {
             self.shared.train(self.shadow_sig[base + victim], true);
         }
-        self.shadow_block[base + victim] = Some(ctx.block_addr);
+        self.shadow_block[base + victim] = ctx.block_addr;
         self.shadow_sig[base + victim] = self.current_sig;
         self.shadow_stamps[base + victim] = self.clock;
     }
@@ -159,9 +167,11 @@ impl ReplacementPolicy for GhrpPolicy {
         // equivalent event was already recorded by the shadow array, so
         // the old signature trains live only in direct-training mode.
         // Re-tag with the current signature and a fresh prediction bit.
-        let old = self
-            .shared
-            .rehit_meta(ctx.block_addr, self.current_sig, !self.shadow_training);
+        let old = self.shared.rehit_meta(
+            ctx.set * self.ways + way,
+            self.current_sig,
+            !self.shadow_training,
+        );
         if old.is_some_and(|o| o.predicted_dead) {
             self.stats.false_dead_hits += 1;
         }
@@ -183,27 +193,28 @@ impl ReplacementPolicy for GhrpPolicy {
         let base = ctx.set * self.ways;
         // Algorithm 5: first predicted-dead block, else LRU. Optionally
         // exempt the MRU way (see `GhrpConfig::protect_mru`).
-        let mru = (0..self.ways)
-            .max_by_key(|&w| self.stamps[base + w])
-            .unwrap_or(0); // ways >= 1 by construction; hot path stays panic-free
+        let mru = if self.protect_mru {
+            (0..self.ways).max_by_key(|&w| self.stamps[base + w])
+        } else {
+            None
+        };
         let mut best: Option<(u64, usize)> = None;
         for w in 0..self.ways {
-            if self.protect_mru && w == mru {
+            if mru == Some(w) {
                 continue;
             }
-            if let Some(block) = self.frame_block[base + w] {
-                let dead = self
-                    .shared
-                    .victim_is_dead(block, self.fresh_victim_prediction);
-                if dead {
-                    if !self.prefer_young_dead {
-                        self.stats.dead_victims += 1;
-                        return w;
-                    }
-                    let stamp = self.stamps[base + w];
-                    if best.is_none_or(|(s, _)| stamp > s) {
-                        best = Some((stamp, w));
-                    }
+            // An empty frame carries no metadata and scans as live.
+            if self
+                .shared
+                .victim_is_dead(base + w, self.fresh_victim_prediction)
+            {
+                if !self.prefer_young_dead {
+                    self.stats.dead_victims += 1;
+                    return w;
+                }
+                let stamp = self.stamps[base + w];
+                if best.is_none_or(|(s, _)| stamp > s) {
+                    best = Some((stamp, w));
                 }
             }
         }
@@ -217,21 +228,22 @@ impl ReplacementPolicy for GhrpPolicy {
             .unwrap_or(0) // ways >= 1 by construction; hot path stays panic-free
     }
 
-    fn on_evict(&mut self, way: usize, victim_block: u64, ctx: &AccessContext) {
+    fn on_evict(&mut self, way: usize, _victim_block: u64, ctx: &AccessContext) {
         // The victim just proved dead (Algorithm 1 lines 15–17, Algorithm
         // 6). With shadow training the dead label instead comes from the
         // shadow array's own eviction of this block, so the signature
         // trains dead only in direct-training mode.
-        let meta = self.shared.evict_meta(victim_block, !self.shadow_training);
+        let meta = self
+            .shared
+            .evict_meta(ctx.set * self.ways + way, !self.shadow_training);
         if meta.is_some_and(|m| !m.predicted_dead) {
             self.stats.unpredicted_deaths += 1;
         }
-        self.frame_block[ctx.set * self.ways + way] = None;
     }
 
     fn on_fill(&mut self, way: usize, ctx: &AccessContext) {
-        self.shared.fill_meta(ctx.block_addr, self.current_sig);
-        self.frame_block[ctx.set * self.ways + way] = Some(ctx.block_addr);
+        self.shared
+            .fill_meta(ctx.set * self.ways + way, ctx.block_addr, self.current_sig);
         self.touch(ctx.set, way);
     }
 
@@ -240,9 +252,8 @@ impl ReplacementPolicy for GhrpPolicy {
         // so the shared tables are not cleared per policy.
         self.stamps.fill(0);
         self.clock = 0;
-        self.frame_block.fill(None);
         self.current_sig = 0;
-        self.shadow_block.fill(None);
+        self.shadow_block.fill(NO_BLOCK);
         self.shadow_sig.fill(0);
         self.shadow_stamps.fill(0);
         self.stats = GhrpPolicyStats::default();
@@ -261,19 +272,9 @@ impl fe_cache::policy::PolicyInvariants for GhrpPolicy {
         if self.shadow_training {
             fe_cache::policy::check_lru_stack(&self.shadow_stamps, self.ways, self.clock)?;
         }
-        // Every resident block must carry metadata in the shared store —
-        // the BTB side reads predictions through it.
-        for (frame, block) in self.frame_block.iter().enumerate() {
-            if let Some(b) = block {
-                if self.shared.meta(*b).is_none() {
-                    return Err(format!(
-                        "frame {frame}: resident block {b:#x} has no shared metadata"
-                    ));
-                }
-            }
-        }
-        // Counter ranges, skewed-index bounds and exact misprediction
-        // recovery (paper §III.F) live in the shared predictor.
+        // The frame metadata (each block in its own set, once), counter
+        // ranges, skewed-index bounds and exact misprediction recovery
+        // (paper §III.F) live in the shared predictor.
         self.shared.check_invariants()
     }
 }
@@ -289,7 +290,7 @@ mod tests {
         let cache_cfg = CacheConfig::with_sets(4, 2, 64).unwrap();
         let mut gcfg = GhrpConfig::default();
         cfg_mod(&mut gcfg);
-        let shared = SharedGhrp::new(gcfg, cache_cfg.offset_bits());
+        let shared = SharedGhrp::new(gcfg, cache_cfg);
         let cache = Cache::new(cache_cfg, GhrpPolicy::new(cache_cfg, shared.clone()));
         (cache, shared)
     }
@@ -460,7 +461,7 @@ mod tests {
             miss
         };
         let run_ghrp = {
-            let shared = SharedGhrp::new(GhrpConfig::default(), cache_cfg.offset_bits());
+            let shared = SharedGhrp::new(GhrpConfig::default(), cache_cfg);
             let mut c = Cache::new(cache_cfg, GhrpPolicy::new(cache_cfg, shared));
             let mut miss = 0u64;
             for i in 0..3000u64 {

@@ -17,7 +17,11 @@ use crate::signature::table_index;
 /// The GHRP counter arrays.
 #[derive(Debug, Clone)]
 pub struct PredictionTables {
-    counters: Vec<Vec<u8>>,
+    /// Every table's counters in one array, table-major: table `t`
+    /// occupies `[t * entries, (t + 1) * entries)`.
+    counters: Vec<u8>,
+    /// Counters per table (`2^index_bits`).
+    entries: usize,
     index_bits: u32,
     counter_max: u8,
     aggregation: Aggregation,
@@ -36,7 +40,8 @@ impl PredictionTables {
             panic!("invalid GhrpConfig: {e}");
         }
         PredictionTables {
-            counters: vec![vec![0u8; cfg.table_entries]; cfg.num_tables],
+            counters: vec![0u8; cfg.table_entries * cfg.num_tables],
+            entries: cfg.table_entries,
             index_bits: cfg.index_bits(),
             counter_max: cfg.counter_max(),
             aggregation: cfg.aggregation,
@@ -49,10 +54,15 @@ impl PredictionTables {
         self.num_tables
     }
 
+    /// Position of table `t`'s counter for `signature` in the flat array.
+    fn slot(&self, signature: u16, t: usize) -> usize {
+        t * self.entries + table_index(signature, t, self.index_bits)
+    }
+
     /// Read the counters a signature maps to (Algorithm 4, `GetCounters`).
     pub fn counters(&self, signature: u16) -> Vec<u8> {
         (0..self.num_tables)
-            .map(|t| self.counters[t][table_index(signature, t, self.index_bits)])
+            .map(|t| self.counters[self.slot(signature, t)])
             .collect()
     }
 
@@ -60,8 +70,8 @@ impl PredictionTables {
     /// counter when the block proved dead, decrement when it proved live.
     pub fn update(&mut self, signature: u16, is_dead: bool) {
         for t in 0..self.num_tables {
-            let i = table_index(signature, t, self.index_bits);
-            let c = &mut self.counters[t][i];
+            let i = self.slot(signature, t);
+            let c = &mut self.counters[i];
             if is_dead {
                 *c = c.saturating_add(1).min(self.counter_max);
             } else {
@@ -81,17 +91,13 @@ impl PredictionTables {
         match self.aggregation {
             Aggregation::MajorityVote => {
                 let dead = (0..self.num_tables)
-                    .filter(|&t| {
-                        self.counters[t][table_index(signature, t, self.index_bits)] >= threshold
-                    })
+                    .filter(|&t| self.counters[self.slot(signature, t)] >= threshold)
                     .count();
                 dead * 2 > self.num_tables
             }
             Aggregation::Sum => {
                 let sum: u32 = (0..self.num_tables)
-                    .map(|t| {
-                        u32::from(self.counters[t][table_index(signature, t, self.index_bits)])
-                    })
+                    .map(|t| u32::from(self.counters[self.slot(signature, t)]))
                     .sum();
                 // Truncation-safe: GhrpConfig::validate caps num_tables
                 // at 8.
@@ -104,15 +110,15 @@ impl PredictionTables {
 
     /// Fraction of counters that are saturated at max — a diagnostic for
     /// table pressure.
+    // A diagnostic off the hot path: not worth a bytecount dependency.
+    #[allow(clippy::naive_bytecount)]
     pub fn saturation(&self) -> f64 {
-        let total: usize = self.counters.iter().map(Vec::len).sum();
-        let sat: usize = self
+        let sat = self
             .counters
             .iter()
-            .flatten()
             .filter(|&&c| c == self.counter_max)
             .count();
-        sat as f64 / total as f64
+        sat as f64 / self.counters.len() as f64
     }
 
     /// Validate the table invariants: every table has exactly
@@ -125,14 +131,15 @@ impl PredictionTables {
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self) -> Result<(), String> {
         let entries = 1usize << self.index_bits;
-        for (t, table) in self.counters.iter().enumerate() {
-            if table.len() != entries {
-                return Err(format!(
-                    "table {t}: {} entries, expected 2^{} = {entries}",
-                    table.len(),
-                    self.index_bits
-                ));
-            }
+        if entries != self.entries || self.counters.len() != self.num_tables * entries {
+            return Err(format!(
+                "{} counters in {} tables, expected 2^{} = {entries} per table",
+                self.counters.len(),
+                self.num_tables,
+                self.index_bits
+            ));
+        }
+        for (t, table) in self.counters.chunks_exact(entries).enumerate() {
             if let Some(i) = table.iter().position(|&c| c > self.counter_max) {
                 return Err(format!(
                     "table {t} counter {i}: value {} exceeds max {}",
@@ -158,9 +165,7 @@ impl PredictionTables {
 
     /// Reset all counters to zero.
     pub fn clear(&mut self) {
-        for t in &mut self.counters {
-            t.fill(0);
-        }
+        self.counters.fill(0);
     }
 }
 
@@ -235,15 +240,15 @@ mod tests {
         for _ in 0..3 {
             t.update(0x42, true);
         }
-        let idx0 = table_index(0x42, 0, 12);
-        t.counters[0][idx0] = 0;
+        let idx0 = t.slot(0x42, 0);
+        t.counters[idx0] = 0;
         assert!(
             t.predict(0x42, 2),
             "2 of 3 tables above threshold still predicts dead"
         );
         // Two aliased tables defeat the vote.
-        let idx1 = table_index(0x42, 1, 12);
-        t.counters[1][idx1] = 0;
+        let idx1 = t.slot(0x42, 1);
+        t.counters[idx1] = 0;
         assert!(!t.predict(0x42, 2));
     }
 
@@ -264,9 +269,9 @@ mod tests {
         assert!(sum_t.predict(sig, 2));
         assert!(vote_t.predict(sig, 2));
         // Now knock one table to 0: sum 4 < 6 → live; vote 2of3 → dead.
-        let i = table_index(sig, 2, 12);
-        sum_t.counters[2][i] = 0;
-        vote_t.counters[2][i] = 0;
+        let i = sum_t.slot(sig, 2);
+        sum_t.counters[i] = 0;
+        vote_t.counters[i] = 0;
         assert!(!sum_t.predict(sig, 2));
         assert!(vote_t.predict(sig, 2));
     }

@@ -35,15 +35,25 @@
 #![forbid(unsafe_code)]
 
 use crate::experiment::SuiteSource;
-use crate::policy::{build_pair, FrontendPair, PolicyKind};
+use crate::policy::{
+    btb_geometry, try_build_pair, AnyPolicy, BuildError, FrontendPair, PolicyKind,
+};
 use crate::sampled::{build_plan, SampleParams, SamplePlan, SampledInfo};
 use crate::schedule::{self, SchedulerStats};
 use crate::simulator::{offline_sequences, RunResult, SimConfig, WrongPathConfig};
 use fe_branch::{HashedPerceptron, PredictorStats, ReturnAddressStack, TargetCache};
-use fe_cache::CacheConfig;
-use fe_trace::fetch::{FetchChunk, FetchStream};
-use fe_trace::record::{BranchKind, BranchRecord};
+use fe_btb::{Btb, GhrpBtbPolicy};
+use fe_cache::policy::{Drrip, Fifo, Lru, RandomPolicy, Srrip};
+use fe_cache::{Cache, CacheConfig, ReplacementPolicy};
+use fe_sdbp::{CounterDbpPolicy, SdbpPolicy, ShipPolicy};
+use fe_trace::fetch::FetchStream;
+use fe_trace::record::{BranchKind, BranchRecord, INSTRUCTION_BYTES};
 use fe_trace::synth::{StreamedTrace, SyntheticTrace, Walker, WorkloadSpec};
+use ghrp_core::{GhrpPolicy, SharedGhrp};
+
+/// Re-exported from [`crate::experiment`], where the panicking adapters
+/// live; [`RunSpec::run`] is the fallible entry.
+pub use crate::experiment::run_lanes;
 
 /// A trace that can be replayed from the start any number of times.
 ///
@@ -238,6 +248,219 @@ impl LaneSpec {
     }
 }
 
+/// Events the replay loop buffers before draining them into the lanes.
+///
+/// Each lane drains the batch through one monomorphic kernel, so the
+/// lane's policy is dispatched once per batch rather than once per cache
+/// or BTB callback. The size barely matters once the kernels are
+/// monomorphic: on a 2-vCPU host, 16 mixed lanes over two 1M-instruction
+/// traces took 0.60 of the unbatched engine's time with 256-event batches
+/// and 0.61 with 1024 (same-process alternating runs), and `perfbench
+/// report_smoke` medians at 256, 1024 and 2048 events were within the
+/// runs' spread. 256 events are 6 KiB per worker.
+const LANE_BATCH: usize = 256;
+
+/// One event of the shared front end that a lane acts on, in trace
+/// order.
+#[derive(Debug, Clone, Copy)]
+enum LaneEvent {
+    /// A fetch group's I-cache access (§IV.A).
+    Group { block_addr: u64, first_pc: u64 },
+    /// A branch that is taken (BTB refresh or allocate) or mispredicted
+    /// by the shared front end (wrong-path injection). Branches that are
+    /// neither change no lane and are not buffered.
+    Branch {
+        pc: u64,
+        target: u64,
+        taken: bool,
+        mispredicted: bool,
+    },
+}
+
+/// A lane's I-cache and BTB, unwrapped from [`build_pair`]'s
+/// `AnyPolicy` payloads into monomorphic caches for every static policy,
+/// so a batch drains through a kernel compiled for that policy. The
+/// dueling hybrids and OPT keep the dynamic dispatch.
+///
+/// [`build_pair`]: crate::policy::build_pair
+#[allow(clippy::large_enum_variant)] // a handful of lanes per worker, never moved per event
+enum LanePair {
+    Lru(Cache<Lru>, Btb<Lru>),
+    Fifo(Cache<Fifo>, Btb<Fifo>),
+    Random(Cache<RandomPolicy>, Btb<RandomPolicy>),
+    Srrip(Cache<Srrip>, Btb<Srrip>),
+    Drrip(Cache<Drrip>, Btb<Drrip>),
+    Ship(Cache<ShipPolicy>, Btb<ShipPolicy>),
+    CounterDbp(Cache<CounterDbpPolicy>, Btb<CounterDbpPolicy>),
+    Sdbp(Cache<SdbpPolicy>, Btb<SdbpPolicy>),
+    Ghrp(Cache<GhrpPolicy>, Btb<GhrpBtbPolicy>),
+    /// `duel(…)`, `phase(…)` and OPT.
+    Dyn(Cache<AnyPolicy>, Btb<AnyPolicy>),
+}
+
+/// Run `$body` with `$icache` and `$btb` bound to the concrete caches of
+/// a [`LanePair`] — the once-per-batch dispatch.
+macro_rules! with_pair {
+    ($pair:expr, ($icache:ident, $btb:ident) => $body:expr) => {
+        match $pair {
+            LanePair::Lru($icache, $btb) => $body,
+            LanePair::Fifo($icache, $btb) => $body,
+            LanePair::Random($icache, $btb) => $body,
+            LanePair::Srrip($icache, $btb) => $body,
+            LanePair::Drrip($icache, $btb) => $body,
+            LanePair::Ship($icache, $btb) => $body,
+            LanePair::CounterDbp($icache, $btb) => $body,
+            LanePair::Sdbp($icache, $btb) => $body,
+            LanePair::Ghrp($icache, $btb) => $body,
+            LanePair::Dyn($icache, $btb) => $body,
+        }
+    };
+}
+
+impl LanePair {
+    /// Unwrap the policies of a built pair: a matching static pair
+    /// becomes its monomorphic variant, anything else stays dynamic.
+    fn new(icache: Cache<AnyPolicy>, btb: Btb<AnyPolicy>) -> LanePair {
+        let (icache, ipol) = icache.replace_policy(());
+        let (btb, bpol) = btb.replace_policy(());
+        macro_rules! pair {
+            ($variant:ident, $i:expr, $b:expr) => {
+                LanePair::$variant(icache.replace_policy($i).0, btb.replace_policy($b).0)
+            };
+        }
+        match (ipol, bpol) {
+            (AnyPolicy::Lru(i), AnyPolicy::Lru(b)) => pair!(Lru, i, b),
+            (AnyPolicy::Fifo(i), AnyPolicy::Fifo(b)) => pair!(Fifo, i, b),
+            (AnyPolicy::Random(i), AnyPolicy::Random(b)) => pair!(Random, i, b),
+            (AnyPolicy::Srrip(i), AnyPolicy::Srrip(b)) => pair!(Srrip, i, b),
+            (AnyPolicy::Drrip(i), AnyPolicy::Drrip(b)) => pair!(Drrip, i, b),
+            (AnyPolicy::Ship(i), AnyPolicy::Ship(b)) => pair!(Ship, i, b),
+            (AnyPolicy::CounterDbp(i), AnyPolicy::CounterDbp(b)) => pair!(CounterDbp, i, b),
+            (AnyPolicy::Sdbp(i), AnyPolicy::Sdbp(b)) => pair!(Sdbp, i, b),
+            (AnyPolicy::Ghrp(i), AnyPolicy::GhrpBtb(b)) => pair!(Ghrp, i, b),
+            (i, b) => pair!(Dyn, i, b),
+        }
+    }
+}
+
+impl std::fmt::Debug for LanePair {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        with_pair!(self, (icache, btb) => f
+            .debug_struct("LanePair")
+            .field("icache", &icache.config())
+            .field("btb", &btb.entries().config())
+            .finish())
+    }
+}
+
+/// A lane's configuration and counters: everything but its caches.
+#[derive(Debug)]
+struct LaneState {
+    measure_btb: bool,
+    prefetch_degree: u32,
+    block_bytes: u64,
+    wrong_path: Option<WrongPathConfig>,
+    /// The GHRP predictor shared by the lane's I-cache and BTB, for
+    /// commit-time retirement and misprediction recovery.
+    ghrp: Option<SharedGhrp>,
+    /// Wrong-path pollution, excluded from the figure of merit (wrong-path
+    /// fetches do not retire, so they cannot be MPKI events).
+    wrong_path_misses: u64,
+    wrong_path_accesses: u64,
+    /// Fetch groups this lane processed (cross-lane lockstep check).
+    groups: u64,
+}
+
+impl LaneState {
+    /// The lane kernel: apply `events`, in order, to one lane's caches.
+    ///
+    /// A fetch group is one I-cache access (§IV.A), plus miss-triggered
+    /// next-line prefetch and commit-time GHRP history retirement. A
+    /// branch refreshes or allocates its BTB entry when taken (skipped
+    /// when the lane does not measure its BTB — the GHRP BTB policy only
+    /// *reads* the shared predictor, so skipping it leaves every I-cache
+    /// counter bit-identical), then injects the wrong path if the shared
+    /// front end mispredicted it.
+    fn drain<I: ReplacementPolicy, B: ReplacementPolicy>(
+        &mut self,
+        icache: &mut Cache<I>,
+        btb: &mut Btb<B>,
+        events: &[LaneEvent],
+    ) {
+        for event in events {
+            match *event {
+                LaneEvent::Group {
+                    block_addr,
+                    first_pc,
+                } => {
+                    self.groups += 1;
+                    let result = icache.access(block_addr, first_pc);
+                    if result.is_miss() && self.prefetch_degree > 0 {
+                        for i in 1..=u64::from(self.prefetch_degree) {
+                            icache.prefetch(block_addr + i * self.block_bytes);
+                        }
+                    }
+                    // Commit-time (right-path) history retirement for
+                    // GHRP: in this trace-driven model every fetched group
+                    // retires.
+                    if let (Some(shared), Some(_wp)) = (&self.ghrp, self.wrong_path) {
+                        shared.retire(block_addr);
+                    }
+                }
+                LaneEvent::Branch {
+                    pc,
+                    target,
+                    taken,
+                    mispredicted,
+                } => {
+                    if self.measure_btb && taken {
+                        btb.lookup_and_update(pc, target);
+                    }
+                    if mispredicted {
+                        self.wrong_path(icache, pc, target, taken);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Wrong-path injection after a mispredicted branch: fetch the
+    /// direction not taken for the configured number of blocks, then
+    /// (optionally) recover the GHRP speculative history.
+    fn wrong_path<I: ReplacementPolicy>(
+        &mut self,
+        icache: &mut Cache<I>,
+        pc: u64,
+        target: u64,
+        taken: bool,
+    ) {
+        let Some(wp) = self.wrong_path else {
+            return;
+        };
+        let block_bytes = self.block_bytes;
+        // The wrong path is the direction not taken.
+        let wrong_start = if taken {
+            pc + INSTRUCTION_BYTES
+        } else {
+            target
+        };
+        let mut block = wrong_start & !(block_bytes - 1);
+        for _ in 0..wp.blocks_per_misprediction {
+            let r = icache.access(block, block);
+            self.wrong_path_accesses += 1;
+            if r.is_miss() {
+                self.wrong_path_misses += 1;
+            }
+            block += block_bytes;
+        }
+        if wp.recover_history {
+            if let Some(shared) = &self.ghrp {
+                shared.recover();
+            }
+        }
+    }
+}
+
 /// One policy lane: the complete per-policy state of a standalone run.
 ///
 /// The lane keeps its own copy of the few configuration fields the
@@ -252,111 +475,90 @@ impl LaneSpec {
 #[repr(align(64))]
 struct Lane {
     policy: PolicyKind,
-    measure_btb: bool,
-    prefetch_degree: u32,
-    block_bytes: u64,
-    wrong_path: Option<WrongPathConfig>,
-    pair: FrontendPair,
-    /// Wrong-path pollution, excluded from the figure of merit (wrong-path
-    /// fetches do not retire, so they cannot be MPKI events).
-    wrong_path_misses: u64,
-    wrong_path_accesses: u64,
-    /// Fetch groups this lane processed (cross-lane lockstep check).
-    groups: u64,
+    state: LaneState,
+    pair: LanePair,
 }
 
 impl Lane {
-    /// One I-cache access per fetch group (§IV.A), plus prefetch and
-    /// commit-time GHRP history retirement — the per-lane half of what
-    /// the legacy loop does per `starts_group` chunk.
-    fn access_group(&mut self, chunk: &FetchChunk) {
-        self.groups += 1;
-        let result = self.pair.icache.access(chunk.block_addr, chunk.first_pc);
-        // Miss-triggered next-line prefetching.
-        if result.is_miss() && self.prefetch_degree > 0 {
-            for i in 1..=u64::from(self.prefetch_degree) {
-                self.pair
-                    .icache
-                    .prefetch(chunk.block_addr + i * self.block_bytes);
-            }
-        }
-        // Commit-time (right-path) history retirement for GHRP: in this
-        // trace-driven model every fetched group retires.
-        if let (Some(shared), Some(_wp)) = (&self.pair.ghrp, self.wrong_path.as_ref()) {
-            shared.retire(chunk.block_addr);
-        }
+    /// Build the lane for `spec` through [`try_build_pair`], handing OPT
+    /// its precomputed `(blocks, pcs)` sequences.
+    fn build(spec: &LaneSpec, offline: Option<&(Vec<u64>, Vec<u64>)>) -> Result<Lane, BuildError> {
+        let cfg = &spec.config;
+        let FrontendPair { icache, btb, ghrp } = try_build_pair(
+            cfg.policy,
+            cfg.icache,
+            cfg.btb_entries,
+            cfg.btb_ways,
+            cfg.ghrp,
+            cfg.sdbp,
+            cfg.seed,
+            offline.map(|(blocks, _)| blocks.as_slice()),
+            offline.map(|(_, pcs)| pcs.as_slice()),
+        )?;
+        Ok(Lane {
+            policy: cfg.policy,
+            state: LaneState {
+                measure_btb: spec.measure_btb,
+                prefetch_degree: cfg.prefetch_degree,
+                block_bytes: cfg.icache.block_bytes(),
+                wrong_path: cfg.wrong_path,
+                ghrp,
+                wrong_path_misses: 0,
+                wrong_path_accesses: 0,
+                groups: 0,
+            },
+            pair: LanePair::new(icache, btb),
+        })
     }
 
-    /// The per-lane half of a branch event: BTB refresh/allocate on taken
-    /// branches (skipped when the lane does not measure its BTB — the
-    /// GHRP BTB policy only *reads* the shared predictor, so skipping it
-    /// leaves every I-cache counter bit-identical), then wrong-path
-    /// injection if the (shared) front end mispredicted.
-    fn observe_branch(&mut self, branch: &BranchRecord, mispredicted: bool) {
-        if self.measure_btb && branch.taken {
-            self.pair.btb.lookup_and_update(branch.pc, branch.target);
-        }
-        if mispredicted {
-            if let Some(wp) = self.wrong_path {
-                let block_bytes = self.block_bytes;
-                // The wrong path is the direction not taken.
-                let wrong_start = if branch.taken {
-                    branch.fall_through()
-                } else {
-                    branch.target
-                };
-                let mut block = wrong_start & !(block_bytes - 1);
-                for _ in 0..wp.blocks_per_misprediction {
-                    let r = self.pair.icache.access(block, block);
-                    self.wrong_path_accesses += 1;
-                    if r.is_miss() {
-                        self.wrong_path_misses += 1;
-                    }
-                    block += block_bytes;
-                }
-                if wp.recover_history {
-                    if let Some(shared) = &self.pair.ghrp {
-                        shared.recover();
-                    }
-                }
-            }
-        }
+    /// Apply one batch of events (dispatching the policy once).
+    fn drain(&mut self, events: &[LaneEvent]) {
+        let state = &mut self.state;
+        with_pair!(&mut self.pair, (icache, btb) => state.drain(icache, btb, events));
     }
 
     fn reset_stats(&mut self) {
-        self.pair.icache.reset_stats();
-        self.pair.btb.reset_stats();
-        self.wrong_path_misses = 0;
-        self.wrong_path_accesses = 0;
+        with_pair!(&mut self.pair, (icache, btb) => {
+            icache.reset_stats();
+            btb.reset_stats();
+        });
+        self.state.wrong_path_misses = 0;
+        self.state.wrong_path_accesses = 0;
     }
 
     /// Restore the lane to its freshly-built state, reusing every
     /// allocation (cache arrays, BTB tables, predictor tables). Offline
     /// lanes cannot be reused — their policy state is trace-derived.
     fn reset_for_reuse(&mut self) {
-        self.pair.icache.reset();
-        self.pair.btb.reset();
+        with_pair!(&mut self.pair, (icache, btb) => {
+            icache.reset();
+            btb.reset();
+        });
         // The dueling hybrids keep their PSEL tallies across `reset()`
         // on purpose (production adaptivity); arena reuse must stay
         // bit-identical to a rebuild, so clear the sticky state too.
-        self.pair.icache.policy_mut().cold_restart();
-        self.pair.btb.entries_mut().policy_mut().cold_restart();
+        if let LanePair::Dyn(icache, btb) = &mut self.pair {
+            icache.policy_mut().cold_restart();
+            btb.entries_mut().policy_mut().cold_restart();
+        }
+        let state = &mut self.state;
         // The shared GHRP state is external to both policies; reset it
         // exactly once here, as the pair's owner.
-        if let Some(shared) = &self.pair.ghrp {
+        if let Some(shared) = &state.ghrp {
             shared.reset();
         }
-        self.wrong_path_misses = 0;
-        self.wrong_path_accesses = 0;
-        self.groups = 0;
+        state.wrong_path_misses = 0;
+        state.wrong_path_accesses = 0;
+        state.groups = 0;
     }
 
     fn finish(&self, measured_instructions: u64, fe: &SharedFrontEnd) -> RunResult {
-        let mut icache_stats = self.pair.icache.stats();
+        let (mut icache_stats, btb_stats) =
+            with_pair!(&self.pair, (icache, btb) => (icache.stats(), btb.stats()));
         // Subtract wrong-path pollution from the figure of merit.
-        icache_stats.misses -= self.wrong_path_misses.min(icache_stats.misses);
-        icache_stats.accesses -= self.wrong_path_accesses.min(icache_stats.accesses);
-        let btb_stats = self.pair.btb.stats();
+        let state = &self.state;
+        icache_stats.misses -= state.wrong_path_misses.min(icache_stats.misses);
+        icache_stats.accesses -= state.wrong_path_accesses.min(icache_stats.accesses);
         RunResult {
             policy: self.policy,
             instructions: measured_instructions,
@@ -378,11 +580,13 @@ impl Lane {
 /// resets them **in place** (same post-construction state, zero
 /// allocation) when the list matches, rebuilding on a change. Offline
 /// lanes always rebuild: their state is derived from the concrete trace.
+/// The event batch is kept here too, so a task allocates nothing.
 #[derive(Debug, Default)]
 struct EngineArena {
     /// The lane list the held lanes were built for.
     key: Vec<LaneSpec>,
     lanes: Vec<Lane>,
+    batch: Vec<LaneEvent>,
 }
 
 impl EngineArena {
@@ -391,74 +595,53 @@ impl EngineArena {
     /// always rebuild, from `offline`, the precomputed access sequences of
     /// the current trace.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a lane's BTB geometry is invalid.
-    fn prepare(&mut self, lanes: &[LaneSpec], offline: Option<&(Vec<u64>, Vec<u64>)>) {
+    /// Returns the index (within `lanes`) and error of the first lane
+    /// that cannot be built.
+    fn prepare(
+        &mut self,
+        lanes: &[LaneSpec],
+        offline: Option<&(Vec<u64>, Vec<u64>)>,
+    ) -> Result<(), (usize, BuildError)> {
         if self.key != lanes {
             self.lanes.clear();
             self.key = lanes.to_vec();
         }
-        for (i, &spec) in lanes.iter().enumerate() {
-            let cfg = &spec.config;
+        for (i, spec) in lanes.iter().enumerate() {
+            let offline_lane = spec.config.policy.is_offline();
             let held = self.lanes.get_mut(i);
-            if let Some(lane) = held.filter(|_| !cfg.policy.is_offline()) {
+            if let Some(lane) = held.filter(|_| !offline_lane) {
                 lane.reset_for_reuse();
                 continue;
             }
-            let seq = offline.filter(|_| cfg.policy.is_offline());
-            // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-            let pair = build_pair(
-                cfg.policy,
-                cfg.icache,
-                cfg.btb_entries,
-                cfg.btb_ways,
-                cfg.ghrp,
-                cfg.sdbp,
-                cfg.seed,
-                seq.map(|(blocks, _)| blocks.as_slice()),
-                seq.map(|(_, pcs)| pcs.as_slice()),
-            );
-            let lane = Lane {
-                policy: cfg.policy,
-                measure_btb: spec.measure_btb,
-                prefetch_degree: cfg.prefetch_degree,
-                block_bytes: cfg.icache.block_bytes(),
-                wrong_path: cfg.wrong_path,
-                pair,
-                wrong_path_misses: 0,
-                wrong_path_accesses: 0,
-                groups: 0,
+            let lane = match Lane::build(spec, offline.filter(|_| offline_lane)) {
+                Ok(lane) => lane,
+                Err(e) => {
+                    // Half-built: make the next call rebuild from scratch.
+                    self.key.clear();
+                    self.lanes.clear();
+                    return Err((i, e));
+                }
             };
             match self.lanes.get_mut(i) {
                 Some(held) => *held = lane,
                 None => self.lanes.push(lane),
             }
         }
+        Ok(())
     }
 }
 
-/// Simulate every policy in `policies` over one full replay of `source`,
-/// returning one [`RunResult`] per policy (in input order).
-///
-/// The shared pass decodes the fetch stream and drives the direction
-/// predictor, RAS and indirect target cache exactly once; per-policy work
-/// is limited to each lane's I-cache/BTB accesses. `base.policy` is
-/// ignored — each lane is built for its own policy. Results are
-/// bit-identical to running [`crate::simulator::Simulator::run`] once per
-/// policy on the same trace.
-///
-/// # Panics
-///
-/// Panics if the BTB geometry in `base` is invalid.
-pub fn run_lanes<S: ReplaySource>(
+/// Replay `source` in full through one lane per policy of `policies`
+/// over `base` — [`crate::experiment::run_lanes`] without the panic.
+pub(crate) fn try_run_lanes<S: ReplaySource>(
     base: &SimConfig,
     policies: &[PolicyKind],
     source: &S,
-) -> Vec<RunResult> {
+) -> Result<Vec<RunResult>, RunError> {
     let lanes = LaneSpec::grid(base, std::slice::from_ref(&base.icache), policies, true);
     let full = [Segment::full(source.total_instructions(), base.warmup_cap)];
-    // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
     replay_segments(
         &lanes,
         &full,
@@ -491,7 +674,7 @@ pub struct Segment {
 impl Segment {
     /// The whole trace of `total_instructions`, warming on its first
     /// half capped at `warmup_cap` (§IV.C), with weight 1.
-    fn full(total_instructions: u64, warmup_cap: u64) -> Segment {
+    pub(crate) fn full(total_instructions: u64, warmup_cap: u64) -> Segment {
         Segment {
             rec_lo: 0,
             rec_hi: u64::MAX,
@@ -512,27 +695,37 @@ impl Segment {
 /// cover exactly its measured interval. A segment without warm-up resets
 /// counters before its first record.
 ///
+/// The shared front end runs ahead of the lanes by up to [`LANE_BATCH`]
+/// events: it buffers fetch groups and the branches lanes act on, then
+/// each lane drains the batch through its monomorphic kernel. The batch
+/// drains before every counter reset and at the end of every segment, so
+/// each lane sees exactly the per-event order of a standalone run.
+///
 /// Every lane shares the first lane's I-cache block size: the fetch
 /// stream is chunked once at that granularity. Everything else — policy,
 /// geometry, BTB, predictor knobs, wrong-path, prefetch — is per lane.
 ///
+/// # Errors
+///
+/// Returns [`RunError::Lane`] (indexed within `lanes`) if a lane cannot
+/// be built.
+///
 /// # Panics
 ///
 /// Panics if an offline (OPT) lane meets anything but one full segment —
-/// its precompute is defined over a full replay — or if a lane's BTB
-/// geometry is invalid.
+/// its precompute is defined over a full replay.
 fn replay_segments<I, F>(
     lanes: &[LaneSpec],
     segments: &[Segment],
     mut records: F,
     arena: &mut EngineArena,
-) -> Vec<RunResult>
+) -> Result<Vec<RunResult>, RunError>
 where
     F: FnMut(&Segment) -> I,
     I: Iterator<Item = BranchRecord>,
 {
     let Some(first) = lanes.first() else {
-        return Vec::new();
+        return Ok(Vec::new());
     };
     let block_bytes = first.config.icache.block_bytes();
     // Offline (OPT) lanes need the full access sequences ahead of time:
@@ -545,9 +738,12 @@ where
         );
         offline_sequences(records(&segments[0]), block_bytes)
     });
-    // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-    arena.prepare(lanes, offline.as_ref());
-    let lanes = &mut arena.lanes;
+    arena
+        .prepare(lanes, offline.as_ref())
+        .map_err(|(lane, error)| RunError::Lane { lane, error })?;
+    let EngineArena { lanes, batch, .. } = arena;
+    batch.clear();
+    batch.reserve(LANE_BATCH);
 
     let mut fe = SharedFrontEnd::default();
     let mut out = Vec::with_capacity(segments.len() * lanes.len());
@@ -570,24 +766,36 @@ where
                 measured_instructions += u64::from(chunk.n_instr);
             }
             if chunk.starts_group {
-                for lane in lanes.iter_mut() {
-                    lane.access_group(&chunk);
-                }
+                batch.push(LaneEvent::Group {
+                    block_addr: chunk.block_addr,
+                    first_pc: chunk.first_pc,
+                });
             }
             if let Some(branch) = chunk.branch {
                 let mispredicted = fe.observe(&branch);
-                for lane in lanes.iter_mut() {
-                    lane.observe_branch(&branch, mispredicted);
+                if branch.taken || mispredicted {
+                    batch.push(LaneEvent::Branch {
+                        pc: branch.pc,
+                        target: branch.target,
+                        taken: branch.taken,
+                        mispredicted,
+                    });
                 }
             }
             if !warmed && instructions >= warmup {
                 warmed = true;
+                drain_batch(lanes, batch);
                 fe.reset_stats();
                 for lane in lanes.iter_mut() {
                     lane.reset_stats();
                 }
+            } else if batch.len() + 2 > LANE_BATCH {
+                // A chunk adds at most two events: never outgrow the
+                // reserved capacity.
+                drain_batch(lanes, batch);
             }
         }
+        drain_batch(lanes, batch);
         out.extend(
             lanes
                 .iter()
@@ -597,11 +805,21 @@ where
 
     // Every lane consumed the identical event stream.
     debug_assert!(
-        lanes.windows(2).all(|w| w[0].groups == w[1].groups),
+        lanes
+            .windows(2)
+            .all(|w| w[0].state.groups == w[1].state.groups),
         "policy lanes diverged: fetch-group counts {:?}",
-        lanes.iter().map(|l| l.groups).collect::<Vec<_>>()
+        lanes.iter().map(|l| l.state.groups).collect::<Vec<_>>()
     );
-    out
+    Ok(out)
+}
+
+/// Drain `batch` into every lane, lane by lane, and empty it.
+fn drain_batch(lanes: &mut [Lane], batch: &mut Vec<LaneEvent>) {
+    for lane in lanes.iter_mut() {
+        lane.drain(batch);
+    }
+    batch.clear();
 }
 
 /// A precondition of [`RunSpec::run`] that the spec does not meet.
@@ -646,6 +864,13 @@ pub enum RunError {
         /// Name of the workload spec.
         expected: String,
     },
+    /// Lane `lane` cannot be built, e.g. its BTB geometry is invalid.
+    Lane {
+        /// Index of the lane in the run's lane list.
+        lane: usize,
+        /// Why the lane cannot be built.
+        error: BuildError,
+    },
 }
 
 impl std::fmt::Display for RunError {
@@ -673,6 +898,7 @@ impl std::fmt::Display for RunError {
                 f,
                 "corpus trace {index} is `{found}` but the suite expects `{expected}`"
             ),
+            RunError::Lane { lane, error } => write!(f, "lane {lane}: {error}"),
         }
     }
 }
@@ -830,6 +1056,11 @@ impl RunSpec<'_> {
     fn task_grid(&self, threads: usize) -> Result<TaskGrid<'_>, RunError> {
         self.source.validate(self.specs)?;
         let shared = self.shared_geometry()?;
+        // Reject a bad BTB geometry here, before any worker starts.
+        for (lane, spec) in self.lanes.iter().enumerate() {
+            btb_geometry(spec.config.btb_entries, spec.config.btb_ways)
+                .map_err(|error| RunError::Lane { lane, error })?;
+        }
         let plans: Vec<SamplePlan> = match (self.sampling, self.source, self.lanes.first()) {
             (Some(_), SuiteSource::Streamed, _) => return Err(RunError::SampledStreamed),
             (Some(params), SuiteSource::Corpus(corpus), Some(lane)) => (0..corpus.len())
@@ -873,13 +1104,14 @@ impl RunSpec<'_> {
     /// # Errors
     ///
     /// Returns a [`RunError`] if the lanes mix block sizes or warm-up
-    /// caps, if sampling is asked of a streamed source, if an offline
-    /// lane meets a non-exact sampled plan, or if a corpus source does
-    /// not match `specs` (length or names).
+    /// caps, if a lane's BTB geometry is invalid, if sampling is asked of
+    /// a streamed source, if an offline lane meets a non-exact sampled
+    /// plan, or if a corpus source does not match `specs` (length or
+    /// names). Every one is found before any worker starts.
     ///
     /// # Panics
     ///
-    /// Panics if a lane's BTB geometry is invalid, or if a worker panics.
+    /// Panics if a worker panics.
     pub fn run(&self, threads: usize) -> Result<RunGrid, RunError> {
         let grid = self.task_grid(threads)?;
         let (results, scheduler) = schedule::run_grid(
@@ -888,7 +1120,7 @@ impl RunSpec<'_> {
             |_| EngineArena::default(),
             |arena, t| grid.task(arena, t),
         );
-        Ok(grid.assemble(&results, scheduler))
+        grid.assemble(results, scheduler)
     }
 
     /// [`RunSpec::run`] without scheduler counters: the drain goes
@@ -911,7 +1143,7 @@ impl RunSpec<'_> {
             |_| EngineArena::default(),
             |arena, t| grid.task(arena, t),
         );
-        Ok(grid.assemble(&results, SchedulerStats::default()))
+        grid.assemble(results, SchedulerStats::default())
     }
 }
 
@@ -935,22 +1167,30 @@ impl TaskGrid<'_> {
 
     /// Task `t`: replay one trace through one lane part.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a lane's BTB geometry is invalid.
-    fn task(&self, arena: &mut EngineArena, t: usize) -> Vec<LaneMetrics> {
+    /// Returns [`RunError::Lane`] (indexed within the run) if a lane of
+    /// the part cannot be built; [`RunSpec::run`] has already ruled that
+    /// out.
+    fn task(&self, arena: &mut EngineArena, t: usize) -> Result<Vec<LaneMetrics>, RunError> {
         let ntraces = self.spec.specs.len();
         let (lo, hi) = self.parts[t / ntraces];
         let s = t % ntraces;
         let part = &self.spec.lanes[lo..hi];
+        let in_run = |e: RunError| match e {
+            RunError::Lane { lane, error } => RunError::Lane {
+                lane: lo + lane,
+                error,
+            },
+            other => other,
+        };
         match self.spec.source {
             SuiteSource::Streamed => {
                 let trace = self.spec.specs[s].streamed();
                 let full = [Segment::full(trace.instructions(), self.warmup_cap)];
                 let records = |_: &Segment| trace.replay();
-                // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-                let results = replay_segments(part, &full, records, arena);
-                fold_segments(&full, &results, part.len())
+                let results = replay_segments(part, &full, records, arena).map_err(in_run)?;
+                Ok(fold_segments(&full, &results, part.len()))
             }
             SuiteSource::Corpus(corpus) => {
                 let trace = corpus.trace(s);
@@ -960,15 +1200,20 @@ impl TaskGrid<'_> {
                     _ => &full[..],
                 };
                 let records = |seg: &Segment| trace.cursor_range(seg.rec_lo, seg.rec_hi);
-                // lint:allow(panic-path): arena-build-time BTB geometry validation in build_pair, documented `# Panics`; never on the per-record path
-                let results = replay_segments(part, segments, records, arena);
-                fold_segments(segments, &results, part.len())
+                let results = replay_segments(part, segments, records, arena).map_err(in_run)?;
+                Ok(fold_segments(segments, &results, part.len()))
             }
         }
     }
 
-    /// The run's grid from its task results (in task order).
-    fn assemble(self, results: &[Vec<LaneMetrics>], scheduler: SchedulerStats) -> RunGrid {
+    /// The run's grid from its task results (in task order), or the
+    /// first task's error.
+    fn assemble(
+        self,
+        results: Vec<Result<Vec<LaneMetrics>, RunError>>,
+        scheduler: SchedulerStats,
+    ) -> Result<RunGrid, RunError> {
+        let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         // Parts are contiguous and ascending, so concatenating a trace's
         // parts restores its full lane list.
         let ntraces = self.spec.specs.len();
@@ -978,7 +1223,7 @@ impl TaskGrid<'_> {
                 cells.extend_from_slice(&results[p * ntraces + s]);
             }
         }
-        RunGrid {
+        Ok(RunGrid {
             traces: ntraces,
             lanes: self.spec.lanes.len(),
             cells,
@@ -987,7 +1232,7 @@ impl TaskGrid<'_> {
                 .spec
                 .sampling
                 .map(|_| SampledInfo::from_plans(&self.plans)),
-        }
+        })
     }
 }
 
@@ -1012,6 +1257,140 @@ mod tests {
 
     fn spec(seed: u64, n: u64) -> WorkloadSpec {
         WorkloadSpec::new(WorkloadCategory::ShortServer, seed).instructions(n)
+    }
+
+    /// The records of `seg` within `records`.
+    fn seg_records<'r>(
+        records: &'r [BranchRecord],
+        seg: &Segment,
+    ) -> std::iter::Copied<std::slice::Iter<'r, BranchRecord>> {
+        let len = records.len() as u64;
+        let lo = usize::try_from(seg.rec_lo.min(len)).expect("fits");
+        let hi = usize::try_from(seg.rec_hi.min(len)).expect("fits");
+        records[lo..hi].iter().copied()
+    }
+
+    /// The replay loop over `segments` of `records`, with fresh lanes.
+    fn replay(
+        lanes: &[LaneSpec],
+        segments: &[Segment],
+        records: &[BranchRecord],
+    ) -> Vec<RunResult> {
+        replay_segments(
+            lanes,
+            segments,
+            |seg| seg_records(records, seg),
+            &mut EngineArena::default(),
+        )
+        .expect("lanes build")
+    }
+
+    /// The replay loop's schedule without the batch: every chunk's events
+    /// go to every lane at once, through the same lane kernels. Results
+    /// equal to this show the batch never reorders or drops an event
+    /// across a counter reset or a segment end.
+    fn unbatched(
+        lanes: &[LaneSpec],
+        segments: &[Segment],
+        records: &[BranchRecord],
+    ) -> Vec<RunResult> {
+        let mut arena = EngineArena::default();
+        arena.prepare(lanes, None).expect("lanes build");
+        let lanes = &mut arena.lanes;
+        let block_bytes = lanes[0].state.block_bytes;
+        let mut fe = SharedFrontEnd::default();
+        let mut out = Vec::new();
+        for seg in segments {
+            let mut warmed = seg.warmup_instructions == 0;
+            if warmed {
+                fe.reset_stats();
+                lanes.iter_mut().for_each(Lane::reset_stats);
+            }
+            let (mut instructions, mut measured) = (0u64, 0u64);
+            for chunk in FetchStream::new(seg_records(records, seg), block_bytes) {
+                instructions += u64::from(chunk.n_instr);
+                if warmed {
+                    measured += u64::from(chunk.n_instr);
+                }
+                let mut events = Vec::new();
+                if chunk.starts_group {
+                    events.push(LaneEvent::Group {
+                        block_addr: chunk.block_addr,
+                        first_pc: chunk.first_pc,
+                    });
+                }
+                if let Some(b) = chunk.branch {
+                    let mispredicted = fe.observe(&b);
+                    events.push(LaneEvent::Branch {
+                        pc: b.pc,
+                        target: b.target,
+                        taken: b.taken,
+                        mispredicted,
+                    });
+                }
+                for lane in lanes.iter_mut() {
+                    lane.drain(&events);
+                }
+                if !warmed && instructions >= seg.warmup_instructions {
+                    warmed = true;
+                    fe.reset_stats();
+                    lanes.iter_mut().for_each(Lane::reset_stats);
+                }
+            }
+            out.extend(lanes.iter().map(|lane| lane.finish(measured, &fe)));
+        }
+        out
+    }
+
+    /// Instructions after each chunk of `records` (one segment, block
+    /// size `block_bytes`), and the index of the first chunk after which
+    /// the replay loop drains a full batch.
+    fn first_batch_edge(records: &[BranchRecord], block_bytes: u64) -> (Vec<u64>, usize) {
+        let mut fe = SharedFrontEnd::default();
+        let (mut instructions, mut pending) = (0u64, 0usize);
+        let mut after = Vec::new();
+        let mut edge = None;
+        for chunk in FetchStream::new(records.iter().copied(), block_bytes) {
+            instructions += u64::from(chunk.n_instr);
+            after.push(instructions);
+            pending += usize::from(chunk.starts_group);
+            if let Some(b) = chunk.branch {
+                let mispredicted = fe.observe(&b);
+                pending += usize::from(b.taken || mispredicted);
+            }
+            if pending + 2 > LANE_BATCH && edge.is_none() {
+                edge = Some(after.len() - 1);
+            }
+        }
+        (after, edge.expect("the trace fills a batch"))
+    }
+
+    /// Lanes whose kernels touch every per-event path: wrong-path
+    /// injection with GHRP history recovery, prefetch, a plain static
+    /// lane, and a dynamically dispatched hybrid.
+    fn edge_lanes(warmup_cap: u64) -> Vec<LaneSpec> {
+        let mut base = SimConfig::paper_default();
+        base.warmup_cap = warmup_cap;
+        let mut wrong_path = base.with_policy(PolicyKind::Ghrp);
+        wrong_path.wrong_path = Some(WrongPathConfig::default());
+        let mut prefetch = base.with_policy(PolicyKind::Srrip);
+        prefetch.prefetch_degree = 2;
+        let hybrid = base.with_policy(PolicyKind::duel(&[
+            crate::policy::BasePolicy::Sdbp,
+            crate::policy::BasePolicy::Lru,
+        ]));
+        [
+            wrong_path,
+            prefetch,
+            base.with_policy(PolicyKind::Lru),
+            hybrid,
+        ]
+        .into_iter()
+        .map(|config| LaneSpec {
+            config,
+            measure_btb: true,
+        })
+        .collect()
     }
 
     const SEVEN: &[PolicyKind] = &[
@@ -1142,12 +1521,7 @@ mod tests {
             })
             .collect();
         let full = [Segment::full(trace.instructions, base.warmup_cap)];
-        let results = replay_segments(
-            &lanes,
-            &full,
-            |_| trace.records.iter().copied(),
-            &mut EngineArena::default(),
-        );
+        let results = replay(&lanes, &full, &trace.records);
         for (r, cfg) in results.iter().zip(&configs) {
             let alone = Simulator::new(*cfg).run(&trace.records, trace.instructions);
             assert_eq!(*r, alone, "lane {cfg:?} diverged from its standalone run");
@@ -1173,6 +1547,7 @@ mod tests {
             let reused = replay_segments(&lanes, &full, records, &mut arena);
             let fresh = replay_segments(&lanes, &full, records, &mut EngineArena::default());
             assert_eq!(reused, fresh, "seed {seed}");
+            assert!(reused.is_ok(), "seed {seed}");
         }
     }
 
@@ -1339,5 +1714,187 @@ mod tests {
         let no_btb = fused.select(&[2, 0], false);
         assert!(no_btb.cells.iter().all(|c| c.btb_mpki == 0.0));
         assert!(fused.cells.iter().any(|c| c.btb_mpki > 0.0));
+    }
+
+    #[test]
+    fn warmup_boundary_at_a_batch_edge_matches_standalone_runs() {
+        // Warm-up boundaries on, just before and just after the first
+        // full batch: the loop must drain the batch before resetting the
+        // counters, wherever the boundary falls.
+        let trace = spec(61, 40_000).generate();
+        let (after, edge) = first_batch_edge(&trace.records, 64);
+        for (chunk, &warmup) in after.iter().enumerate().take(edge + 4).skip(edge - 3) {
+            assert!(warmup < trace.instructions / 2, "the cap must bind");
+            let lanes = edge_lanes(warmup);
+            let full = [Segment::full(trace.instructions, warmup)];
+            let results = replay(&lanes, &full, &trace.records);
+            for (r, lane) in results.iter().zip(&lanes) {
+                let alone = Simulator::new(lane.config).run(&trace.records, trace.instructions);
+                assert_eq!(
+                    *r, alone,
+                    "lane {} with warm-up ending at chunk {chunk} (batch edge {edge})",
+                    lane.config.policy
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn segments_shorter_than_a_batch_match_the_unbatched_schedule() {
+        let trace = spec(67, 30_000).generate();
+        let lanes = edge_lanes(SimConfig::paper_default().warmup_cap);
+        // Tiny segments (a few events each), with and without warm-up,
+        // one that never leaves its warm-up, and one past the trace end.
+        let segments: Vec<Segment> = [
+            (0, 40, 0),
+            (40, 45, 0),
+            (100, 110, 30),
+            (500, 503, 1_000_000),
+            (900, 1_200, 200),
+            (5_000, u64::MAX, 0),
+        ]
+        .iter()
+        .map(|&(rec_lo, rec_hi, warmup_instructions)| Segment {
+            rec_lo,
+            rec_hi,
+            warmup_instructions,
+            weight: 1.0,
+        })
+        .collect();
+        let batched = replay(&lanes, &segments, &trace.records);
+        assert_eq!(batched, unbatched(&lanes, &segments, &trace.records));
+        assert_eq!(batched[3 * lanes.len()].instructions, 0, "never warmed");
+    }
+
+    #[test]
+    fn an_empty_trace_replays_through_every_segment() {
+        let lanes = edge_lanes(SimConfig::paper_default().warmup_cap);
+        let segments = [Segment::full(0, 0), Segment::full(0, 10)];
+        let results = replay(&lanes, &segments, &[]);
+        assert_eq!(results, unbatched(&lanes, &segments, &[]));
+        assert!(results
+            .iter()
+            .all(|r| r.instructions == 0 && r.icache.accesses == 0));
+    }
+
+    #[test]
+    fn a_sampled_plan_matches_the_unbatched_schedule() {
+        use crate::sampled::build_plan;
+        use fe_trace::corpus::{Corpus, CorpusBuilder, SuiteCorpus};
+        let trace = spec(71, 300_000).generate();
+        let mut b = CorpusBuilder::new();
+        b.push_synthetic(&trace).expect("encodes");
+        let corpus =
+            SuiteCorpus::from_corpus(&Corpus::from_bytes(b.finish()).expect("fresh corpus parses"));
+        let lanes = edge_lanes(SimConfig::paper_default().warmup_cap);
+        let plan = build_plan(
+            corpus.trace(0),
+            &lanes[0].config,
+            &SampleParams {
+                windows: 16,
+                k: 3,
+                warmup: 2048,
+            },
+        );
+        assert!(!plan.exact && plan.segments.len() > 1, "a sampled plan");
+        let batched = replay(&lanes, &plan.segments, &trace.records);
+        assert_eq!(batched, unbatched(&lanes, &plan.segments, &trace.records));
+    }
+
+    #[test]
+    fn single_candidate_duel_lanes_match_static_lanes_in_one_pass() {
+        // `duel(p)` drains through `AnyPolicy` dispatch, `p` through its
+        // monomorphic kernel: one pass compares the two paths directly.
+        use crate::policy::BasePolicy;
+        let trace = spec(73, 60_000).generate();
+        let mut base = SimConfig::paper_default();
+        base.wrong_path = Some(WrongPathConfig::default());
+        let statics = [
+            BasePolicy::Lru,
+            BasePolicy::Fifo,
+            BasePolicy::Random,
+            BasePolicy::Srrip,
+            BasePolicy::Drrip,
+            BasePolicy::Ship,
+            BasePolicy::CounterDbp,
+            BasePolicy::Sdbp,
+            BasePolicy::Ghrp,
+        ];
+        let policies: Vec<PolicyKind> = statics
+            .iter()
+            .flat_map(|&p| [p.as_kind(), PolicyKind::duel(&[p])])
+            .collect();
+        let lanes = LaneSpec::grid(&base, std::slice::from_ref(&base.icache), &policies, true);
+        let mut arena = EngineArena::default();
+        let full = [Segment::full(trace.instructions, base.warmup_cap)];
+        let results = replay_segments(
+            &lanes,
+            &full,
+            |seg| seg_records(&trace.records, seg),
+            &mut arena,
+        )
+        .expect("lanes build");
+        for (pair, lanes) in results.chunks_exact(2).zip(arena.lanes.chunks_exact(2)) {
+            assert!(
+                !matches!(lanes[0].pair, LanePair::Dyn(..)),
+                "{}",
+                pair[0].policy
+            );
+            assert!(
+                matches!(lanes[1].pair, LanePair::Dyn(..)),
+                "{}",
+                pair[1].policy
+            );
+            let mut hybrid = pair[1];
+            hybrid.policy = pair[0].policy;
+            assert_eq!(
+                hybrid, pair[0],
+                "duel({}) vs {}",
+                pair[0].policy, pair[0].policy
+            );
+        }
+    }
+
+    #[test]
+    fn a_bad_btb_geometry_is_an_error_before_any_worker_starts() {
+        let specs = [spec(79, 20_000)];
+        let base = SimConfig::paper_default();
+        let mut lanes = LaneSpec::grid(
+            &base,
+            std::slice::from_ref(&base.icache),
+            &[PolicyKind::Lru, PolicyKind::Ghrp],
+            true,
+        );
+        lanes[1].config.btb_entries = 1000;
+        let err = run_error(RunSpec {
+            specs: &specs,
+            source: SuiteSource::Streamed,
+            lanes: &lanes,
+            sampling: None,
+            part_width: None,
+        });
+        assert_eq!(
+            err,
+            RunError::Lane {
+                lane: 1,
+                error: BuildError::BtbGeometry {
+                    entries: 1000,
+                    ways: base.btb_ways
+                }
+            }
+        );
+        assert!(
+            err.to_string().starts_with("lane 1: invalid BTB geometry"),
+            "{err}"
+        );
+        // The engine itself reports the lane too, within its lane list.
+        let full = [Segment::full(20_000, base.warmup_cap)];
+        let direct = replay_segments(
+            &lanes,
+            &full,
+            |_| std::iter::empty(),
+            &mut EngineArena::default(),
+        );
+        assert_eq!(direct, Err(err));
     }
 }

@@ -8,11 +8,11 @@
 
 #![forbid(unsafe_code)]
 
-use crate::engine::{LaneSpec, RunError, RunGrid, RunSpec};
+use crate::engine::{try_run_lanes, LaneSpec, ReplaySource, RunError, RunGrid, RunSpec};
 use crate::policy::PolicyKind;
 use crate::sampled::SampleParams;
 use crate::schedule::SchedulerStats;
-use crate::simulator::SimConfig;
+use crate::simulator::{RunResult, SimConfig};
 use crate::stats;
 use fe_trace::corpus::SuiteCorpus;
 use fe_trace::synth::{WorkloadCategory, WorkloadSpec};
@@ -253,6 +253,27 @@ impl SuiteSource<'_> {
 /// Panics on any [`RunError`], or as [`RunSpec::run`].
 pub fn run_or_panic(spec: &RunSpec<'_>, threads: usize) -> RunGrid {
     spec.run(threads).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Simulate every policy in `policies` over one full replay of `source`,
+/// returning one [`RunResult`] per policy (in input order).
+///
+/// The shared pass decodes the fetch stream and drives the direction
+/// predictor, RAS and indirect target cache exactly once; per-policy work
+/// is limited to each lane's I-cache/BTB accesses. `base.policy` is
+/// ignored — each lane is built for its own policy. Results are
+/// bit-identical to running [`crate::simulator::Simulator::run`] once per
+/// policy on the same trace.
+///
+/// # Panics
+///
+/// Panics if the BTB geometry in `base` is invalid.
+pub fn run_lanes<S: ReplaySource>(
+    base: &SimConfig,
+    policies: &[PolicyKind],
+    source: &S,
+) -> Vec<RunResult> {
+    try_run_lanes(base, policies, source).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Run a whole suite over `threads` OS threads (`0` = every available

@@ -540,6 +540,44 @@ impl std::fmt::Debug for FrontendPair {
     }
 }
 
+/// Why [`try_build_pair`] could not build a pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BuildError {
+    /// `entries / ways` is not a power-of-two set count of power-of-two
+    /// ways.
+    BtbGeometry {
+        /// Requested BTB entries.
+        entries: u32,
+        /// Requested BTB associativity.
+        ways: u32,
+    },
+    /// An OPT pair was asked for without its offline access sequences.
+    MissingOfflineSequences,
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuildError::BtbGeometry { entries, ways } => write!(
+                f,
+                "invalid BTB geometry: {entries} entries in {ways} ways is not a \
+                 power-of-two set count of power-of-two ways"
+            ),
+            BuildError::MissingOfflineSequences => {
+                f.write_str("OPT requires the I-cache block and BTB access sequences")
+            }
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
+/// The BTB geometry of `entries` in `ways`, as [`try_build_pair`] checks
+/// it.
+pub(crate) fn btb_geometry(entries: u32, ways: u32) -> Result<CacheConfig, BuildError> {
+    btb_config(entries, ways).map_err(|_| BuildError::BtbGeometry { entries, ways })
+}
+
 /// Build the I-cache/BTB pair for `kind`.
 ///
 /// `icache_opt_blocks` / `btb_opt_pcs` supply the offline access sequences
@@ -547,8 +585,9 @@ impl std::fmt::Debug for FrontendPair {
 ///
 /// # Panics
 ///
-/// Panics if `kind` is `Opt` and the offline sequences are missing, or if
-/// the BTB geometry is invalid.
+/// Panics where [`try_build_pair`] returns an error: if `kind` is `Opt`
+/// and the offline sequences are missing, or if the BTB geometry is
+/// invalid.
 #[allow(clippy::too_many_arguments)] // a constructor-style fan-in; callers use named locals
 pub fn build_pair(
     kind: PolicyKind,
@@ -561,7 +600,44 @@ pub fn build_pair(
     icache_opt_blocks: Option<&[u64]>,
     btb_opt_pcs: Option<&[u64]>,
 ) -> FrontendPair {
-    let btb_cfg = btb_config(btb_entries, btb_ways).expect("valid BTB geometry");
+    try_build_pair(
+        kind,
+        icache_cfg,
+        btb_entries,
+        btb_ways,
+        ghrp_cfg,
+        sdbp_cfg,
+        seed,
+        icache_opt_blocks,
+        btb_opt_pcs,
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Build the I-cache/BTB pair for `kind`: the one construction site of
+/// every policy pair (seeds, GHRP wiring), which [`build_pair`] and the
+/// engine's lanes both go through.
+///
+/// `icache_opt_blocks` / `btb_opt_pcs` supply the offline access sequences
+/// and are required only for [`PolicyKind::Opt`].
+///
+/// # Errors
+///
+/// Returns a [`BuildError`] if the BTB geometry is invalid, or if `kind`
+/// is `Opt` and the offline sequences are missing.
+#[allow(clippy::too_many_arguments)] // a constructor-style fan-in; callers use named locals
+pub fn try_build_pair(
+    kind: PolicyKind,
+    icache_cfg: CacheConfig,
+    btb_entries: u32,
+    btb_ways: u32,
+    ghrp_cfg: GhrpConfig,
+    sdbp_cfg: SdbpConfig,
+    seed: u64,
+    icache_opt_blocks: Option<&[u64]>,
+    btb_opt_pcs: Option<&[u64]>,
+) -> Result<FrontendPair, BuildError> {
+    let btb_cfg = btb_geometry(btb_entries, btb_ways)?;
     let (ipol, bpol, ghrp): (AnyPolicy, AnyPolicy, Option<SharedGhrp>) = match kind {
         PolicyKind::Lru => (
             AnyPolicy::Lru(Lru::new(icache_cfg)),
@@ -604,7 +680,7 @@ pub fn build_pair(
             None,
         ),
         PolicyKind::Ghrp => {
-            let shared = SharedGhrp::new(ghrp_cfg, icache_cfg.offset_bits());
+            let shared = SharedGhrp::new(ghrp_cfg, icache_cfg);
             (
                 AnyPolicy::Ghrp(GhrpPolicy::new(icache_cfg, shared.clone())),
                 AnyPolicy::GhrpBtb(GhrpBtbPolicy::new(
@@ -616,8 +692,9 @@ pub fn build_pair(
             )
         }
         PolicyKind::Opt => {
-            let blocks = icache_opt_blocks.expect("OPT requires the I-cache block sequence");
-            let pcs = btb_opt_pcs.expect("OPT requires the BTB access sequence");
+            let (Some(blocks), Some(pcs)) = (icache_opt_blocks, btb_opt_pcs) else {
+                return Err(BuildError::MissingOfflineSequences);
+            };
             (
                 AnyPolicy::Opt(BeladyOpt::from_trace(icache_cfg, blocks)),
                 AnyPolicy::Opt(BeladyOpt::from_trace(btb_cfg, pcs)),
@@ -645,11 +722,11 @@ pub fn build_pair(
             )
         }
     };
-    FrontendPair {
+    Ok(FrontendPair {
         icache: Cache::new(icache_cfg, ipol),
         btb: Btb::new(btb_cfg, bpol),
         ghrp,
-    }
+    })
 }
 
 /// Build the matched I-cache/BTB candidate lists of a hybrid.
@@ -706,7 +783,7 @@ fn hybrid_candidates(
                 AnyPolicy::Sdbp(SdbpPolicy::new(btb_cfg, sdbp_cfg)),
             ),
             BasePolicy::Ghrp => {
-                let shared = SharedGhrp::new(ghrp_cfg, icache_cfg.offset_bits());
+                let shared = SharedGhrp::new(ghrp_cfg, icache_cfg);
                 let pair = (
                     AnyPolicy::Ghrp(GhrpPolicy::new(icache_cfg, shared.clone())),
                     AnyPolicy::GhrpBtb(GhrpBtbPolicy::new(
@@ -920,6 +997,34 @@ mod tests {
             assert!(pair.btb.lookup_and_update(0x1004, 0x2000));
             assert_eq!(pair.ghrp.is_some(), *k == PolicyKind::Ghrp);
         }
+    }
+
+    #[test]
+    fn bad_btb_geometry_and_missing_sequences_are_errors() {
+        let build = |kind, entries, ways| {
+            try_build_pair(
+                kind,
+                cfg(),
+                entries,
+                ways,
+                GhrpConfig::default(),
+                SdbpConfig::default(),
+                0,
+                None,
+                None,
+            )
+            .map(|_| ())
+        };
+        for (entries, ways) in [(1000, 4), (1024, 0), (1024, 3)] {
+            let err = build(PolicyKind::Lru, entries, ways).expect_err("bad geometry");
+            assert_eq!(err, BuildError::BtbGeometry { entries, ways });
+            assert!(err.to_string().contains("BTB geometry"), "{err}");
+        }
+        assert_eq!(
+            build(PolicyKind::Opt, 1024, 4),
+            Err(BuildError::MissingOfflineSequences)
+        );
+        assert_eq!(build(PolicyKind::Ghrp, 1024, 4), Ok(()));
     }
 
     #[test]

@@ -166,10 +166,14 @@ pub struct SdbpStats {
 pub struct SdbpPolicy {
     cfg: SdbpConfig,
     ways: usize,
-    /// Skewed counter tables.
-    tables: Vec<Vec<u8>>,
+    /// Skewed counter tables in one array, table-major: table `t`
+    /// occupies `[t * table_entries, (t + 1) * table_entries)`.
+    tables: Vec<u8>,
     /// Full-size sampler: same geometry as the cache.
     sampler: Vec<SamplerEntry>,
+    /// Per set: whether the sampler trains on it (every
+    /// `sampler_every`-th set). Geometry-derived, fixed at construction.
+    sampled_set: Vec<bool>,
     /// Main-cache per-frame prediction bits.
     predicted_dead: Vec<bool>,
     /// Main-cache LRU stamps.
@@ -194,8 +198,11 @@ impl SdbpPolicy {
         SdbpPolicy {
             cfg,
             ways: cache_cfg.ways() as usize,
-            tables: vec![vec![0u8; cfg.table_entries]; cfg.num_tables],
+            tables: vec![0u8; cfg.table_entries * cfg.num_tables],
             sampler: vec![SamplerEntry::default(); cache_cfg.frames()],
+            sampled_set: (0..u64::from(cache_cfg.sets()))
+                .map(|set| set.is_multiple_of(u64::from(cfg.sampler_every)))
+                .collect(),
             predicted_dead: vec![false; cache_cfg.frames()],
             stamps: vec![0; cache_cfg.frames()],
             clock: 0,
@@ -224,7 +231,8 @@ impl SdbpPolicy {
     }
 
     fn table_index(&self, sig: u16, table: usize) -> usize {
-        // Skewed indices via per-table multiplicative hashing.
+        // Position of `sig`'s counter in table `table` of the flat array
+        // (skewed indices via per-table multiplicative hashing).
         const MULT: [u32; 8] = [
             0x9E37_79B9,
             0x85EB_CA6B,
@@ -237,21 +245,21 @@ impl SdbpPolicy {
         ];
         let x = u32::from(sig).wrapping_mul(MULT[table]);
         let x = x ^ (x >> 16);
-        (x as usize) & (self.cfg.table_entries - 1)
+        table * self.cfg.table_entries + ((x as usize) & (self.cfg.table_entries - 1))
     }
 
     /// Sum of the counters selected by `sig` (SDBP aggregates by
     /// summation).
     pub fn counter_sum(&self, sig: u16) -> u32 {
         (0..self.cfg.num_tables)
-            .map(|t| u32::from(self.tables[t][self.table_index(sig, t)]))
+            .map(|t| u32::from(self.tables[self.table_index(sig, t)]))
             .sum()
     }
 
     fn train(&mut self, sig: u16, is_dead: bool) {
         for t in 0..self.cfg.num_tables {
             let i = self.table_index(sig, t);
-            let c = &mut self.tables[t][i];
+            let c = &mut self.tables[i];
             if is_dead {
                 *c = c.saturating_add(1).min(self.cfg.counter_max);
             } else {
@@ -318,7 +326,7 @@ impl SdbpPolicy {
 impl ReplacementPolicy for SdbpPolicy {
     fn on_access(&mut self, ctx: &AccessContext) {
         self.current_sig = self.signature_of(ctx.block_addr);
-        if (ctx.set as u64).is_multiple_of(u64::from(self.cfg.sampler_every)) {
+        if self.sampled_set[ctx.set] {
             self.sample(ctx);
         }
     }
@@ -362,9 +370,7 @@ impl ReplacementPolicy for SdbpPolicy {
     }
 
     fn reset(&mut self) {
-        for t in &mut self.tables {
-            t.fill(0);
-        }
+        self.tables.fill(0);
         self.sampler.fill(SamplerEntry::default());
         self.predicted_dead.fill(false);
         self.stamps.fill(0);

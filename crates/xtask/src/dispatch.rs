@@ -1,11 +1,12 @@
 //! Dispatch-exhaustiveness: drift detection for the `AnyPolicy` sum.
 //!
 //! The simulator dispatches policies through a closed enum
-//! (`AnyPolicy`) instead of `Box<dyn ReplacementPolicy>` (see PR 3), so
+//! (`AnyPolicy`) instead of `Box<dyn ReplacementPolicy>`, so
 //! adding a policy takes four coordinated edits: the
 //! `impl ReplacementPolicy`, an `AnyPolicy` variant, a construction arm
-//! in `build_pair`, and a `PolicyKind` spelling in the config-string
-//! parser. Nothing in the type system ties the last two to the first
+//! in `try_build_pair` (the one construction site; `build_pair` and the
+//! engine's lanes both go through it), and a `PolicyKind` spelling in
+//! the config-string parser. Nothing in the type system ties the last two to the first
 //! two — a forgotten arm surfaces as a policy that silently can't be
 //! selected from an experiment config. This pass cross-references all
 //! four sites from the AST:
@@ -14,7 +15,7 @@
 //!   (excluding `src/bin/` one-offs and `#[cfg(test)]` doubles) must
 //!   appear as an `AnyPolicy` variant payload;
 //! * every variant payload must have such an impl;
-//! * every variant must be constructed somewhere in `build_pair`;
+//! * every variant must be constructed somewhere in `try_build_pair`;
 //! * every `PolicyKind` variant must be producible by
 //!   `PolicyKind::parse`.
 //!
@@ -33,7 +34,7 @@ use crate::Finding;
 
 const TRAIT_NAME: &str = "ReplacementPolicy";
 const ENUM_NAME: &str = "AnyPolicy";
-const CTOR_NAME: &str = "build_pair";
+const CTOR_NAME: &str = "try_build_pair";
 const KIND_ENUM: &str = "PolicyKind";
 const KIND_PARSE: &str = "parse";
 
@@ -53,7 +54,7 @@ struct Survey {
     /// Enum variants: variant name → (payload type name, site).
     variants: BTreeMap<String, (String, Site)>,
     enum_site: Option<Site>,
-    /// Variant names constructed as `AnyPolicy::V(...)` in `build_pair`.
+    /// Variant names constructed as `AnyPolicy::V(...)` in `try_build_pair`.
     constructed: Vec<String>,
     ctor_site: Option<Site>,
     /// `PolicyKind` variant names.

@@ -20,7 +20,7 @@
 //!   `render-purity`, `reset-complete`). See DESIGN.md §8.4.
 //! * [`dispatch`] — drift detection for the `AnyPolicy` closed sum:
 //!   every `impl ReplacementPolicy` must have an enum variant, every
-//!   variant an impl and a `build_pair` construction site, and every
+//!   variant an impl and a `try_build_pair` construction site, and every
 //!   `PolicyKind` a config-string spelling.
 //! * [`registry`] — drift detection for the experiment registry: the
 //!   `ALL` table, the `build` dispatch, and the `report run <name>`

@@ -1,6 +1,6 @@
 //! Drifted dispatch fixture: four coordinated-edit failures the pass
 //! must report — an impl with no variant, a variant with no impl, a
-//! variant `build_pair` never constructs, and a `PolicyKind` no config
+//! variant `try_build_pair` never constructs, and a `PolicyKind` no config
 //! string can select.
 
 #![forbid(unsafe_code)]
@@ -59,7 +59,7 @@ impl PolicyKind {
 }
 
 // Drift 3: `AnyPolicy::Ghost` is never constructed.
-pub fn build_pair(kind: PolicyKind) -> AnyPolicy {
+pub fn try_build_pair(kind: PolicyKind) -> AnyPolicy {
     match kind {
         PolicyKind::Alpha => AnyPolicy::Alpha(Alpha),
         _ => AnyPolicy::Beta(Beta),

@@ -43,7 +43,7 @@ impl PolicyKind {
     }
 }
 
-pub fn build_pair(kind: PolicyKind) -> AnyPolicy {
+pub fn try_build_pair(kind: PolicyKind) -> AnyPolicy {
     match kind {
         PolicyKind::Alpha => AnyPolicy::Alpha(Alpha),
         PolicyKind::Beta => AnyPolicy::Beta(Beta),

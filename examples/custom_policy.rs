@@ -128,7 +128,7 @@ fn main() {
         &trace.records,
     );
     let plru = run(Cache::new(cfg, TreePlru::new(cfg)), &trace.records);
-    let shared = SharedGhrp::new(GhrpConfig::default(), cfg.offset_bits());
+    let shared = SharedGhrp::new(GhrpConfig::default(), cfg);
     let ghrp = run(
         Cache::new(cfg, GhrpPolicy::new(cfg, shared)),
         &trace.records,

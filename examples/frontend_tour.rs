@@ -22,7 +22,7 @@ fn main() {
     // One shared GHRP instance serves both structures (§III.E).
     let icache_cfg = CacheConfig::with_capacity(16 * 1024, 8, 64).expect("geometry");
     let btb_cfg = btb_config(1024, 4).expect("geometry");
-    let shared = SharedGhrp::new(GhrpConfig::default(), icache_cfg.offset_bits());
+    let shared = SharedGhrp::new(GhrpConfig::default(), icache_cfg);
     let mut icache = Cache::new(icache_cfg, GhrpPolicy::new(icache_cfg, shared.clone()));
     let mut btb = Btb::new(
         btb_cfg,

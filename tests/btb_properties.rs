@@ -7,6 +7,11 @@ use ghrp_repro::cache::policy::{Lru, ValidatingPolicy};
 use ghrp_repro::ghrp::{GhrpConfig, SharedGhrp};
 use proptest::prelude::*;
 
+/// The I-cache whose frames the shared GHRP state mirrors.
+fn icache() -> ghrp_repro::cache::CacheConfig {
+    ghrp_repro::cache::CacheConfig::with_capacity(64 * 1024, 8, 64).unwrap()
+}
+
 /// Strategy: a stream of (branch pc, target) pairs over a modest PC range.
 fn arb_branches() -> impl Strategy<Value = Vec<(u64, u64)>> {
     prop::collection::vec((0u64..512, 0u64..4096), 1..300).prop_map(|v| {
@@ -52,14 +57,14 @@ proptest! {
             btb_enable_bypass: false,
             ..GhrpConfig::default()
         };
-        let shared = SharedGhrp::new(gcfg, 6);
+        let shared = SharedGhrp::new(gcfg, icache());
         // Install arbitrary block metadata / training, as the I-cache side
         // would.
         for (i, &sig) in sigs.iter().enumerate() {
-            shared.set_meta(
+            prop_assert!(shared.set_meta(
                 (i as u64) * 64,
                 ghrp_repro::ghrp::BlockMeta { signature: sig, predicted_dead: i % 2 == 0 },
-            );
+            ));
             shared.train(sig, i % 3 == 0);
         }
         let mut btb = Btb::new(cfg, ValidatingPolicy::new(GhrpBtbPolicy::new(cfg, shared, 64)));
@@ -81,7 +86,7 @@ proptest! {
             btb_dead_threshold: 1,
             ..GhrpConfig::default()
         };
-        let shared = SharedGhrp::new(gcfg, 6);
+        let shared = SharedGhrp::new(gcfg, icache());
         // Saturate every signature dead so the PC fallback predicts dead
         // and everything bypasses.
         for sig in 0..=u16::MAX {

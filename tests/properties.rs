@@ -210,13 +210,50 @@ proptest! {
             enable_bypass: false,
             ..GhrpConfig::default()
         };
-        let shared = SharedGhrp::new(gcfg, cfg.offset_bits());
+        let shared = SharedGhrp::new(gcfg, cfg);
         let mut c = Cache::new(cfg, ValidatingPolicy::new(GhrpPolicy::new(cfg, shared.clone())));
         for &b in &blocks {
             c.access(b, b);
             prop_assert!(shared.meta(b).is_some(), "no metadata for resident {b:#x}");
         }
         prop_assert_eq!(shared.meta_len(), c.valid_frames());
+    }
+
+    /// GHRP's frame-indexed metadata mirrors the I-cache tag array under
+    /// demand accesses, next-line prefetches and bypasses: one entry per
+    /// valid frame, and the by-block lookup the BTB uses finds every
+    /// resident block's metadata in the frame that holds it (and nothing
+    /// for an absent block).
+    #[test]
+    fn ghrp_frame_metadata_mirrors_the_tag_array(
+        blocks in arb_accesses(),
+        prefetch_every in 1usize..4,
+        bypass_threshold in 1u8..=7,
+    ) {
+        let cfg = CacheConfig::with_sets(4, 4, 64).unwrap();
+        let gcfg = GhrpConfig {
+            enable_bypass: true,
+            bypass_threshold,
+            ..GhrpConfig::default()
+        };
+        let shared = SharedGhrp::new(gcfg, cfg);
+        let mut c = Cache::new(cfg, ValidatingPolicy::new(GhrpPolicy::new(cfg, shared.clone())));
+        for (i, &b) in blocks.iter().enumerate() {
+            if c.access(b, b).is_miss() && i % prefetch_every == 0 {
+                c.prefetch(b + 64);
+            }
+            prop_assert_eq!(shared.meta_len(), c.valid_frames());
+        }
+        for block in (0..=64u64).map(|b| b * 64) {
+            match c.locate(block) {
+                Some(frame) => {
+                    let held = shared.frame_meta(frame);
+                    prop_assert_eq!(held.map(|(b, _)| b), Some(block));
+                    prop_assert_eq!(shared.meta(block), held.map(|(_, m)| m));
+                }
+                None => prop_assert_eq!(shared.meta(block), None),
+            }
+        }
     }
 
     /// The GHRP signature depends only on the history and the shifted PC,
@@ -367,7 +404,7 @@ proptest! {
         recover_every in 1usize..16,
     ) {
         let cfg = CacheConfig::with_sets(4, 4, 64).unwrap();
-        let shared = SharedGhrp::new(GhrpConfig::default(), cfg.offset_bits());
+        let shared = SharedGhrp::new(GhrpConfig::default(), cfg);
         let mut c = Cache::new(cfg, ValidatingPolicy::new(GhrpPolicy::new(cfg, shared.clone())));
         for (i, &b) in blocks.iter().enumerate() {
             c.access(b, b);
