@@ -36,7 +36,7 @@ mod paper;
 
 pub use context::{parse_args, ParsedArgs, RunContext, UsageError, USAGE};
 pub use manifest::{ExperimentRecord, Manifest, RecordArgs, MANIFEST_SCHEMA, RECORD_SCHEMA};
-pub use plan::{SimOutcome, SimStore};
+pub use plan::{PlanError, SimOutcome, SimStore};
 pub use request::{SimRequest, SimShape, SuiteSpec};
 pub use shape::{ShapeAssertion, ShapeCheck};
 
@@ -101,7 +101,8 @@ pub const REPORT_USAGE: &str = "usage: report <subcommand> [flags]\n\
 ///
 /// # Errors
 ///
-/// Returns a message for unknown experiment names and I/O failures.
+/// Returns a message for unknown experiment names, a request the planner
+/// rejects (see [`SimStore::try_plan_and_run_cached`]) and I/O failures.
 pub fn run_experiments(names: &[String], parsed: &ParsedArgs) -> Result<(), String> {
     let mut exps: Vec<Box<dyn Experiment>> = Vec::new();
     for n in names {
@@ -130,7 +131,8 @@ pub fn run_experiments(names: &[String], parsed: &ParsedArgs) -> Result<(), Stri
         eprintln!("report: sampled replay ({params}) applied to geometry sweeps");
     }
     let cache = fe_trace::corpus::CorpusCache::new(ctx.corpus_dir());
-    let store = SimStore::plan_and_run_cached(&requests, ctx.threads(), &cache);
+    let store = SimStore::try_plan_and_run_cached(&requests, ctx.threads(), &cache)
+        .map_err(|e| format!("report: {e}"))?;
     eprintln!(
         "report: {} simulation request(s) -> {} unique run(s) -> {} engine pass(es)",
         store.requests, store.executions, store.passes

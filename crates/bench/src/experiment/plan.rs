@@ -26,8 +26,9 @@
 
 #![forbid(unsafe_code)]
 
-use fe_frontend::engine::{LaneSpec, RunGrid, RunSpec};
-use fe_frontend::experiment::{run_or_panic, SuiteResult, SuiteSource};
+use fe_cache::ConfigError;
+use fe_frontend::engine::{LaneSpec, RunError, RunGrid, RunSpec};
+use fe_frontend::experiment::{SuiteResult, SuiteSource};
 use fe_frontend::sweep::{sweep_icaches, SweepResult};
 use fe_trace::corpus::{Corpus, CorpusBuilder, CorpusCache, EnsureStats, SuiteCorpus};
 use fe_trace::synth::WorkloadSpec;
@@ -43,6 +44,27 @@ pub enum SimOutcome {
     /// A geometry sweep.
     Sweep(SweepResult),
 }
+
+/// Why a plan cannot run. Every one is found before any simulation
+/// starts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PlanError {
+    /// A sweep request names a geometry that is not a valid I-cache.
+    SweepGeometry(ConfigError),
+    /// An engine pass rejected its spec (see [`RunSpec::run`]).
+    Run(RunError),
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanError::SweepGeometry(e) => write!(f, "invalid sweep geometry: {e}"),
+            PlanError::Run(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
 
 /// Deduplicated simulation results, indexed by request identity.
 #[derive(Debug, Default)]
@@ -184,7 +206,8 @@ impl SimStore {
     /// geometry, if it samples an offline policy, or if a worker panics.
     pub fn plan_and_run(requests: &[SimRequest], threads: usize) -> SimStore {
         let plan = Plan::new(requests);
-        let executed = run_fused(&plan.runners, threads, |_| None);
+        let executed =
+            run_fused(&plan.runners, threads, |_| None).unwrap_or_else(|e| panic!("{e}"));
         plan.into_store(executed)
     }
 
@@ -205,6 +228,26 @@ impl SimStore {
         threads: usize,
         cache: &CorpusCache,
     ) -> SimStore {
+        Self::try_plan_and_run_cached(requests, threads, cache).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`SimStore::plan_and_run_cached`] without the panic on a bad
+    /// request.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`PlanError`] if a request names an invalid sweep or BTB
+    /// geometry or samples an offline policy, before any workload is
+    /// generated or simulated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker panics.
+    pub fn try_plan_and_run_cached(
+        requests: &[SimRequest],
+        threads: usize,
+        cache: &CorpusCache,
+    ) -> Result<SimStore, PlanError> {
         let plan = Plan::new(requests);
         let mut stats = EnsureStats::default();
         let executed = run_fused(&plan.runners, threads, |specs| {
@@ -221,11 +264,11 @@ impl SimStore {
                     None
                 }
             }
-        });
+        })?;
         let mut store = plan.into_store(executed);
         store.workloads_generated = stats.generated;
         store.workloads_reused = stats.reused;
-        store
+        Ok(store)
     }
 
     /// [`SimStore::plan_and_run`] with an injected runner, called once
@@ -294,42 +337,47 @@ impl SimStore {
 /// samples an offline policy, or if a worker panics.
 pub fn run_alone(req: &SimRequest, threads: usize) -> SimOutcome {
     let specs = req.suite.specs();
+    let lanes = request_lanes(req).unwrap_or_else(|e| panic!("{e}"));
     let in_memory = req.effective_sampled().map(|_| encode_in_memory(&specs));
-    run_request(req, &specs, threads, in_memory.as_ref())
+    run_request(req, &lanes, &specs, threads, in_memory.as_ref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Run one request on its own pass, replaying from `corpus` when given.
+/// Run one request, whose lanes are `lanes`, on its own pass, replaying
+/// from `corpus` when given.
 fn run_request(
     req: &SimRequest,
+    lanes: &[LaneSpec],
     specs: &[WorkloadSpec],
     threads: usize,
     corpus: Option<&SuiteCorpus>,
-) -> SimOutcome {
-    let lanes = request_lanes(req);
+) -> Result<SimOutcome, PlanError> {
     let spec = RunSpec {
         specs,
         source: corpus.map_or(SuiteSource::Streamed, SuiteSource::Corpus),
-        lanes: &lanes,
+        lanes,
         sampling: req.effective_sampled(),
         part_width: None,
     };
-    reshape(req, specs, run_or_panic(&spec, threads))
+    let grid = spec.run(threads).map_err(PlanError::Run)?;
+    Ok(reshape(req, specs, grid))
 }
 
 /// The lanes of one request: its policies at its I-cache geometry, or at
 /// every swept geometry. Figure 7 sweeps consume I-cache means only, so
 /// their lanes skip the BTB.
-fn request_lanes(req: &SimRequest) -> Vec<LaneSpec> {
+fn request_lanes(req: &SimRequest) -> Result<Vec<LaneSpec>, PlanError> {
     let geometries = match &req.shape {
         SimShape::Suite => vec![req.config.icache],
-        SimShape::Sweep(geoms) => sweep_icaches(&req.config, geoms),
+        SimShape::Sweep(geoms) => {
+            sweep_icaches(&req.config, geoms).map_err(PlanError::SweepGeometry)?
+        }
     };
-    LaneSpec::grid(
+    Ok(LaneSpec::grid(
         &req.config,
         &geometries,
         &req.policies,
         req.shape == SimShape::Suite,
-    )
+    ))
 }
 
 /// `req`'s result from the grid of exactly its lanes.
@@ -356,9 +404,9 @@ struct FusedPass {
 }
 
 impl FusedPass {
-    fn add(&mut self, runner: usize, req: &SimRequest) {
+    fn add(&mut self, runner: usize, lanes: &[LaneSpec]) {
         let mut columns = Vec::new();
-        for lane in request_lanes(req) {
+        for &lane in lanes {
             let column = if let Some(c) = self.lanes.iter().position(|l| l.config == lane.config) {
                 self.lanes[c].measure_btb |= lane.measure_btb;
                 c
@@ -396,14 +444,23 @@ const FUSED_PART_LANES: usize = 16;
 /// first member only; the others carry the default, so summing the
 /// stats of every runner counts each drain once.
 ///
+/// # Errors
+///
+/// Returns a [`PlanError`] if a runner names an invalid sweep geometry
+/// (found before any suite loads) or an engine pass rejects its spec.
+///
 /// # Panics
 ///
-/// As [`SimStore::plan_and_run`].
+/// Panics if a worker panics.
 fn run_fused(
     runners: &[SimRequest],
     threads: usize,
     mut load: impl FnMut(&[WorkloadSpec]) -> Option<SuiteCorpus>,
-) -> Executed {
+) -> Result<Executed, PlanError> {
+    let lanes: Vec<Vec<LaneSpec>> = runners
+        .iter()
+        .map(request_lanes)
+        .collect::<Result<_, _>>()?;
     let mut outcomes: Vec<Option<SimOutcome>> = vec![None; runners.len()];
     let mut passes = 0;
     let mut corpus_loads = 0;
@@ -436,7 +493,7 @@ fn run_fused(
                 });
                 groups.len() - 1
             });
-            groups[g].add(i, req);
+            groups[g].add(i, &lanes[i]);
         }
         for group in &groups {
             let spec = RunSpec {
@@ -448,7 +505,7 @@ fn run_fused(
                 sampling: None,
                 part_width: Some(FUSED_PART_LANES),
             };
-            let grid = run_or_panic(&spec, threads);
+            let grid = spec.run(threads).map_err(PlanError::Run)?;
             passes += 1;
             for (k, (i, columns)) in group.members.iter().enumerate() {
                 let req = &runners[*i];
@@ -471,18 +528,18 @@ fn run_fused(
                 corpus_loads += 1;
                 encode_in_memory(&specs)
             });
-            outcomes[i] = Some(run_request(req, &specs, threads, Some(corpus)));
+            outcomes[i] = Some(run_request(req, &lanes[i], &specs, threads, Some(corpus))?);
             passes += 1;
         }
     }
-    Executed {
+    Ok(Executed {
         outcomes: outcomes
             .into_iter()
             .map(|o| o.expect("every runner belongs to one suite"))
             .collect(),
         passes,
         corpus_loads,
-    }
+    })
 }
 
 /// Encode `specs` into a throwaway in-memory corpus (signature sidecars
@@ -786,6 +843,42 @@ mod tests {
         assert_eq!(cached.suite(&suite_req), streamed.suite(&suite_req));
         assert_eq!(cached.sweep(&sweep_req), streamed.sweep(&sweep_req));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bad_sweep_geometry_is_an_error_before_any_workload_is_generated() {
+        let dir = std::env::temp_dir().join(format!("fe-plan-bad-geometry-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CorpusCache::new(&dir);
+        let c = ctx(2);
+        let pols = [PolicyKind::Lru];
+        let suite = SimRequest::suite_run(&c, c.sim(), &pols);
+        // 3 KB of 64 B blocks in 4 ways is 12 sets.
+        let bad = SimRequest::sweep_run(&c, c.sim(), &pols, vec![(8 * 1024, 4), (3 * 1024, 4)]);
+        let err = SimStore::try_plan_and_run_cached(&[suite, bad], 1, &cache)
+            .expect_err("12 sets is not a valid cache");
+        assert_eq!(
+            err,
+            PlanError::SweepGeometry(ConfigError::NotPowerOfTwo {
+                field: "sets",
+                value: 12
+            })
+        );
+        assert!(
+            err.to_string().starts_with("invalid sweep geometry"),
+            "{err}"
+        );
+        let generated = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+        assert_eq!(generated, 0, "no workload generated");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid sweep geometry")]
+    fn plan_and_run_panics_on_a_bad_sweep_geometry() {
+        let c = ctx(1);
+        let bad = SimRequest::sweep_run(&c, c.sim(), &[PolicyKind::Lru], vec![(3 * 1024, 4)]);
+        let _ = SimStore::plan_and_run(&[bad], 1);
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! processors. This crate implements it along with two simpler comparators
 //! (bimodal, gshare) and a return-address stack.
 //!
+//! The perceptron's geometry is fixed: eight tables of 4096 weights over
+//! history lengths `[0, 3, 6, 10, 16, 25, 40, 60]`, weights saturating at
+//! ±127. Its history folds are registers updated in O(1) per branch, and
+//! the compile-time geometry keeps every shift amount constant.
+//! [`HashedPerceptron::default`] is the only constructor.
+//!
 //! All predictors implement [`DirectionPredictor`]: call
 //! [`predict`](DirectionPredictor::predict) for the current branch, then
 //! [`update`](DirectionPredictor::update) with the actual outcome (which
@@ -34,7 +40,7 @@ mod target_cache;
 
 pub use bimodal::Bimodal;
 pub use gshare::Gshare;
-pub use perceptron::{HashedPerceptron, PerceptronConfig};
+pub use perceptron::HashedPerceptron;
 pub use ras::ReturnAddressStack;
 pub use target_cache::TargetCache;
 

@@ -7,50 +7,82 @@
 //! perceptron-style — on a misprediction, or while the magnitude of the sum
 //! is below an adaptively trained threshold, every selected weight moves
 //! toward the outcome.
+//!
+//! Each table hashes the last `len` outcomes and the last `3·len` path
+//! bits (capped at 63), each XOR-folded down to the 12-bit table index.
+//! The folds live in registers — one outcome and one path register per
+//! table — that every branch updates in O(1), as real predictors keep
+//! their folded histories: rotate left within 12 bits, XOR the new bits in
+//! at position 0, and XOR out the bits that leave the window. The
+//! geometry is fixed at compile time, so every shift amount is a
+//! constant.
 
 #![forbid(unsafe_code)]
 
 use crate::DirectionPredictor;
+use fe_cache::index::mask;
 
-/// Configuration for [`HashedPerceptron`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PerceptronConfig {
-    /// Number of weight tables.
-    pub num_tables: usize,
-    /// Entries per table (power of two).
-    pub table_entries: usize,
-    /// Weight saturation magnitude (symmetric, fits 8-bit weights).
-    pub weight_max: i16,
-    /// History length (in branches) seen by each table. Table 0
-    /// conventionally uses length 0 (bias/PC-only, the "gshare with zero
-    /// history" component).
-    pub history_lengths: [u32; 8],
-    /// Initial training threshold.
-    pub initial_theta: i32,
+/// Number of weight tables.
+const TABLES: usize = 8;
+/// Index bits per table; the history folds are this wide.
+const INDEX_BITS: u32 = 12;
+/// Entries per table.
+const ENTRIES: usize = 1 << INDEX_BITS;
+/// Low [`INDEX_BITS`] bits.
+const FOLD_MASK: u64 = (1 << INDEX_BITS) - 1;
+/// History length (in branches) seen by each table. Table 0 uses length 0
+/// (bias/PC-only, the "gshare with zero history" component); the others
+/// are roughly geometric, capped by the 64-bit history registers.
+const HISTORY_LENGTHS: [u32; TABLES] = [0, 3, 6, 10, 16, 25, 40, 60];
+/// Path-history bits recorded per branch (low PC bits above the
+/// instruction alignment).
+const PATH_BITS: u32 = 3;
+/// Weight saturation magnitude (symmetric, fits 8-bit weights).
+const WEIGHT_MAX: i16 = 127;
+/// Initial training threshold.
+const INITIAL_THETA: i32 = 18;
+
+/// Path-history bits a table of history length `len` folds: three per
+/// branch, capped at 63 (the register holds 64).
+const fn path_len(len: u32) -> u32 {
+    if PATH_BITS * len < 63 {
+        PATH_BITS * len
+    } else {
+        63
+    }
 }
 
-impl Default for PerceptronConfig {
-    fn default() -> PerceptronConfig {
-        PerceptronConfig {
-            num_tables: 8,
-            table_entries: 4096,
-            weight_max: 127,
-            // Roughly geometric lengths, capped by the 64-bit registers.
-            history_lengths: [0, 3, 6, 10, 16, 25, 40, 60],
-            initial_theta: 18,
-        }
+// Every window must fit its 64-bit history register, and a table with
+// history must cover at least one branch of path bits.
+const _: () = {
+    let mut t = 0;
+    while t < TABLES {
+        let len = HISTORY_LENGTHS[t];
+        assert!(len < 64);
+        assert!(len == 0 || path_len(len) >= PATH_BITS);
+        t += 1;
     }
+};
+
+/// Rotate the [`INDEX_BITS`]-wide value `x` left by `k < INDEX_BITS`.
+#[inline]
+fn rotl(x: u64, k: u32) -> u64 {
+    ((x << k) | (x >> (INDEX_BITS - k))) & FOLD_MASK
 }
 
 /// The hashed perceptron predictor.
 #[derive(Debug, Clone)]
 pub struct HashedPerceptron {
-    cfg: PerceptronConfig,
-    weights: Vec<Vec<i16>>,
+    /// [`TABLES`] tables of [`ENTRIES`] weights.
+    weights: Box<[[i16; ENTRIES]]>,
     /// Global outcome history (1 bit per branch).
     ghist: u64,
     /// Path history (3 low PC bits per branch).
     phist: u64,
+    /// Per table: the last `len` bits of `ghist`, XOR-folded to 12 bits.
+    gfold: [u64; TABLES],
+    /// Per table: the last `path_len(len)` bits of `phist`, folded alike.
+    pfold: [u64; TABLES],
     /// Adaptive threshold (O-GEHL style).
     theta: i32,
     /// Threshold-training counter.
@@ -58,66 +90,39 @@ pub struct HashedPerceptron {
 }
 
 impl HashedPerceptron {
-    /// Create a predictor from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table_entries` is not a power of two of at least 2 (a
-    /// 1-entry table has a zero-bit index, which history folding cannot
-    /// produce) or `num_tables` is not in `1..=8`.
-    pub fn new(cfg: PerceptronConfig) -> HashedPerceptron {
-        assert!(
-            cfg.table_entries.is_power_of_two() && cfg.table_entries >= 2,
-            "table_entries must be a power of two >= 2, got {}",
-            cfg.table_entries
-        );
-        assert!(
-            (1..=8).contains(&cfg.num_tables),
-            "num_tables must be 1..=8"
-        );
-        HashedPerceptron {
-            weights: vec![vec![0i16; cfg.table_entries]; cfg.num_tables],
-            ghist: 0,
-            phist: 0,
-            theta: cfg.initial_theta,
-            tc: 0,
-            cfg,
-        }
-    }
-
-    fn fold(mut x: u64, bits: u32, out_bits: u32) -> u64 {
-        if bits == 0 {
-            return 0;
-        }
-        let mask = if bits >= 64 {
-            u64::MAX
-        } else {
-            (1 << bits) - 1
-        };
-        x &= mask;
-        let mut folded = 0u64;
-        while x != 0 {
-            folded ^= x & ((1 << out_bits) - 1);
-            x >>= out_bits;
-        }
-        folded
-    }
-
     fn index(&self, table: usize, pc: u64) -> usize {
-        let bits = self.cfg.table_entries.trailing_zeros();
-        let len = self.cfg.history_lengths[table];
-        let g = Self::fold(self.ghist, len, bits);
-        let p = Self::fold(self.phist, (len * 3).min(63), bits);
-        let h = (pc >> 2) ^ (g << 1) ^ p ^ ((table as u64) << 5);
+        let h = (pc >> 2) ^ (self.gfold[table] << 1) ^ self.pfold[table] ^ ((table as u64) << 5);
         // Final avalanche so adjacent PCs spread across the table.
         let h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 13) as usize) & (self.cfg.table_entries - 1)
+        mask(h >> 13, ENTRIES)
     }
 
     fn sum(&self, pc: u64) -> i32 {
-        (0..self.cfg.num_tables)
+        (0..TABLES)
             .map(|t| i32::from(self.weights[t][self.index(t, pc)]))
             .sum()
+    }
+
+    /// Shift the outcome and path of the branch at `pc` into the
+    /// histories and their folded registers.
+    #[inline]
+    fn advance(&mut self, pc: u64, taken: bool) {
+        let bit = u64::from(taken);
+        let path = (pc >> 2) & ((1 << PATH_BITS) - 1);
+        for (t, &len) in HISTORY_LENGTHS.iter().enumerate() {
+            if len == 0 {
+                continue;
+            }
+            // The oldest outcome leaves the window; after the rotation it
+            // would sit at position `len mod 12`.
+            let out = (self.ghist >> (len - 1)) & 1;
+            self.gfold[t] = rotl(self.gfold[t], 1) ^ bit ^ (out << (len % INDEX_BITS));
+            let plen = path_len(len);
+            let out = (self.phist >> (plen - PATH_BITS)) & ((1 << PATH_BITS) - 1);
+            self.pfold[t] = rotl(self.pfold[t], PATH_BITS) ^ path ^ rotl(out, plen % INDEX_BITS);
+        }
+        self.ghist = (self.ghist << 1) | bit;
+        self.phist = (self.phist << PATH_BITS) | path;
     }
 
     /// Current adaptive threshold (diagnostics).
@@ -126,14 +131,16 @@ impl HashedPerceptron {
     }
 
     /// Restore the predictor to its freshly-constructed state, reusing
-    /// the weight-table allocations.
+    /// the weight-table allocation.
     pub fn reset(&mut self) {
         for table in &mut self.weights {
             table.fill(0);
         }
         self.ghist = 0;
         self.phist = 0;
-        self.theta = self.cfg.initial_theta;
+        self.gfold = [0; TABLES];
+        self.pfold = [0; TABLES];
+        self.theta = INITIAL_THETA;
         self.tc = 0;
     }
 
@@ -141,16 +148,15 @@ impl HashedPerceptron {
     /// returning the prediction.
     ///
     /// Identical to [`DirectionPredictor::predict`] followed by
-    /// [`DirectionPredictor::update`], but the table indices — two history
-    /// folds each — are computed once instead of up to three times. The
-    /// simulator observes every conditional branch through this call.
+    /// [`DirectionPredictor::update`], but the table indices are computed
+    /// once instead of twice. The simulator observes every conditional
+    /// branch through this call.
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
-        let mut idxs = [0usize; 8];
-        let n = self.cfg.num_tables;
-        for (t, slot) in idxs.iter_mut().enumerate().take(n) {
+        let mut idxs = [0usize; TABLES];
+        for (t, slot) in idxs.iter_mut().enumerate() {
             *slot = self.index(t, pc);
         }
-        let sum: i32 = idxs[..n]
+        let sum: i32 = idxs
             .iter()
             .enumerate()
             .map(|(t, &i)| i32::from(self.weights[t][i]))
@@ -158,12 +164,12 @@ impl HashedPerceptron {
         let predicted = sum >= 0;
         let mispredicted = predicted != taken;
         if mispredicted || sum.abs() <= self.theta {
-            for (t, &i) in idxs[..n].iter().enumerate() {
+            for (t, &i) in idxs.iter().enumerate() {
                 let w = &mut self.weights[t][i];
                 if taken {
-                    *w = (*w + 1).min(self.cfg.weight_max);
+                    *w = (*w + 1).min(WEIGHT_MAX);
                 } else {
-                    *w = (*w - 1).max(-self.cfg.weight_max);
+                    *w = (*w - 1).max(-WEIGHT_MAX);
                 }
             }
         }
@@ -183,16 +189,25 @@ impl HashedPerceptron {
                 self.tc = 0;
             }
         }
-        // Advance histories.
-        self.ghist = (self.ghist << 1) | u64::from(taken);
-        self.phist = (self.phist << 3) | ((pc >> 2) & 0x7);
+        self.advance(pc, taken);
         predicted
     }
 }
 
 impl Default for HashedPerceptron {
+    /// Eight tables of 4096 weights, history lengths
+    /// `[0, 3, 6, 10, 16, 25, 40, 60]`, weights saturating at ±127 and an
+    /// initial threshold of 18.
     fn default() -> HashedPerceptron {
-        HashedPerceptron::new(PerceptronConfig::default())
+        HashedPerceptron {
+            weights: vec![[0; ENTRIES]; TABLES].into_boxed_slice(),
+            ghist: 0,
+            phist: 0,
+            gfold: [0; TABLES],
+            pfold: [0; TABLES],
+            theta: INITIAL_THETA,
+            tc: 0,
+        }
     }
 }
 
@@ -213,6 +228,155 @@ impl DirectionPredictor for HashedPerceptron {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// XOR-fold the low `bits` bits of `x` into `out_bits`-bit chunks.
+    fn fold(mut x: u64, bits: u32, out_bits: u32) -> u64 {
+        if bits == 0 {
+            return 0;
+        }
+        let mask = if bits >= 64 {
+            u64::MAX
+        } else {
+            (1 << bits) - 1
+        };
+        x &= mask;
+        let mut folded = 0u64;
+        while x != 0 {
+            folded ^= x & ((1 << out_bits) - 1);
+            x >>= out_bits;
+        }
+        folded
+    }
+
+    /// The predictor as it was before the folded registers: every index
+    /// re-folds both histories from scratch. The oracle the registers
+    /// must reproduce bit for bit.
+    #[derive(Debug)]
+    struct RefoldingPerceptron {
+        weights: Vec<Vec<i16>>,
+        ghist: u64,
+        phist: u64,
+        theta: i32,
+        tc: i32,
+    }
+
+    impl RefoldingPerceptron {
+        fn new() -> RefoldingPerceptron {
+            RefoldingPerceptron {
+                weights: vec![vec![0; ENTRIES]; TABLES],
+                ghist: 0,
+                phist: 0,
+                theta: INITIAL_THETA,
+                tc: 0,
+            }
+        }
+
+        fn index(&self, table: usize, pc: u64) -> usize {
+            let len = HISTORY_LENGTHS[table];
+            let g = fold(self.ghist, len, INDEX_BITS);
+            let p = fold(self.phist, (len * 3).min(63), INDEX_BITS);
+            let h = (pc >> 2) ^ (g << 1) ^ p ^ ((table as u64) << 5);
+            let h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            mask(h >> 13, ENTRIES)
+        }
+
+        fn predict(&self, pc: u64) -> bool {
+            (0..TABLES)
+                .map(|t| i32::from(self.weights[t][self.index(t, pc)]))
+                .sum::<i32>()
+                >= 0
+        }
+
+        fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
+            let idxs: Vec<usize> = (0..TABLES).map(|t| self.index(t, pc)).collect();
+            let sum: i32 = idxs
+                .iter()
+                .enumerate()
+                .map(|(t, &i)| i32::from(self.weights[t][i]))
+                .sum();
+            let predicted = sum >= 0;
+            let mispredicted = predicted != taken;
+            if mispredicted || sum.abs() <= self.theta {
+                for (t, &i) in idxs.iter().enumerate() {
+                    let w = &mut self.weights[t][i];
+                    *w = if taken {
+                        (*w + 1).min(WEIGHT_MAX)
+                    } else {
+                        (*w - 1).max(-WEIGHT_MAX)
+                    };
+                }
+            }
+            if mispredicted {
+                self.tc += 1;
+                if self.tc >= 32 {
+                    self.theta += 1;
+                    self.tc = 0;
+                }
+            } else if sum.abs() <= self.theta {
+                self.tc -= 1;
+                if self.tc <= -32 {
+                    self.theta = (self.theta - 1).max(1);
+                    self.tc = 0;
+                }
+            }
+            self.ghist = (self.ghist << 1) | u64::from(taken);
+            self.phist = (self.phist << 3) | ((pc >> 2) & 0x7);
+            predicted
+        }
+    }
+
+    /// Every table's folded registers against `fold` of the live
+    /// histories.
+    fn registers_match_folds(p: &HashedPerceptron) -> Result<(), TestCaseError> {
+        for (t, &len) in HISTORY_LENGTHS.iter().enumerate() {
+            prop_assert_eq!(p.gfold[t], fold(p.ghist, len, INDEX_BITS));
+            prop_assert_eq!(p.pfold[t], fold(p.phist, (len * 3).min(63), INDEX_BITS));
+        }
+        Ok(())
+    }
+
+    fn same_weights(p: &HashedPerceptron, oracle: &RefoldingPerceptron) -> bool {
+        p.weights
+            .iter()
+            .zip(&oracle.weights)
+            .all(|(a, b)| a[..] == b[..])
+    }
+
+    proptest! {
+        /// Random branch streams, with a `reset()` somewhere in the
+        /// middle: predictions, θ and every weight equal the refolding
+        /// oracle's, and the registers equal the folds after every step.
+        #[test]
+        fn folded_registers_match_the_refolding_oracle(
+            steps in prop::collection::vec((0u64..96, any::<u64>(), 0u64..8), 0..1500),
+            reset_at in 0usize..1500,
+        ) {
+            let mut p = HashedPerceptron::default();
+            let mut oracle = RefoldingPerceptron::new();
+            for (i, &(slot, salt, bias)) in steps.iter().enumerate() {
+                if i == reset_at {
+                    prop_assert!(same_weights(&p, &oracle), "weights differ before reset");
+                    p.reset();
+                    oracle = RefoldingPerceptron::new();
+                }
+                // A small pool of hot PCs (so weights train and collide),
+                // plus an occasional arbitrary one.
+                let pc = if slot == 0 { salt } else { 0x40_0000 + slot * 4 };
+                // Mostly PC-biased outcomes with noise from `salt`.
+                let taken = if bias < 6 { slot % 3 != 0 } else { salt & 1 == 1 };
+                prop_assert_eq!(p.predict(pc), oracle.predict(pc));
+                prop_assert_eq!(
+                    p.predict_and_update(pc, taken),
+                    oracle.predict_and_update(pc, taken)
+                );
+                prop_assert_eq!(p.theta(), oracle.theta);
+                prop_assert_eq!((p.ghist, p.phist), (oracle.ghist, oracle.phist));
+                registers_match_folds(&p)?;
+            }
+            prop_assert!(same_weights(&p, &oracle), "weights differ at the end");
+        }
+    }
 
     #[test]
     fn learns_long_period_pattern() {
@@ -256,15 +420,24 @@ mod tests {
 
     #[test]
     fn weights_saturate() {
-        let cfg = PerceptronConfig {
-            weight_max: 7,
-            ..PerceptronConfig::default()
-        };
-        let mut p = HashedPerceptron::new(cfg);
-        for _ in 0..1000 {
-            p.update(0x40, true);
+        // Table 0 sits at a limit while the other tables outvote it, so
+        // every update mispredicts and trains table 0 past its limit.
+        for (limit, taken) in [(WEIGHT_MAX, true), (-WEIGHT_MAX, false)] {
+            let mut p = HashedPerceptron::default();
+            p.weights[0].fill(limit);
+            for table in &mut p.weights[1..] {
+                table.fill(-limit);
+            }
+            for _ in 0..1000 {
+                p.update(0x40, taken);
+            }
+            assert!(p
+                .weights
+                .iter()
+                .flatten()
+                .all(|&w| (-WEIGHT_MAX..=WEIGHT_MAX).contains(&w)));
+            assert!(p.weights[0].iter().all(|&w| w == limit));
         }
-        assert!(p.weights.iter().flatten().all(|&w| (-7..=7).contains(&w)));
     }
 
     #[test]
@@ -286,40 +459,31 @@ mod tests {
 
     #[test]
     fn fold_handles_extremes() {
-        assert_eq!(HashedPerceptron::fold(0xFFFF, 0, 12), 0);
-        assert_eq!(HashedPerceptron::fold(0xABC, 12, 12), 0xABC);
-        let f = HashedPerceptron::fold(u64::MAX, 64, 12);
+        assert_eq!(fold(0xFFFF, 0, 12), 0);
+        assert_eq!(fold(0xABC, 12, 12), 0xABC);
+        let f = fold(u64::MAX, 64, 12);
         assert!(f < 4096);
     }
 
     #[test]
-    #[should_panic(expected = "table_entries must be a power of two >= 2")]
-    fn one_entry_table_panics() {
-        let cfg = PerceptronConfig {
-            table_entries: 1,
-            ..PerceptronConfig::default()
-        };
-        let _ = HashedPerceptron::new(cfg);
-    }
-
-    #[test]
-    fn two_entry_table_predicts_repeatedly() {
-        let mut p = HashedPerceptron::new(PerceptronConfig {
-            table_entries: 2,
-            ..PerceptronConfig::default()
-        });
-        for i in 0..64u64 {
-            let _ = p.predict_and_update(0x1000 + i * 4, i % 3 == 0);
+    fn reset_restores_the_default_state() {
+        let mut p = HashedPerceptron::default();
+        for i in 0..500u64 {
+            let _ = p.predict_and_update(0x1000 + (i % 37) * 4, i % 5 != 0);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "num_tables")]
-    fn zero_tables_panics() {
-        let cfg = PerceptronConfig {
-            num_tables: 0,
-            ..PerceptronConfig::default()
-        };
-        let _ = HashedPerceptron::new(cfg);
+        p.reset();
+        let fresh = HashedPerceptron::default();
+        assert_eq!(
+            (p.ghist, p.phist, p.gfold, p.pfold, p.theta, p.tc),
+            (
+                fresh.ghist,
+                fresh.phist,
+                fresh.gfold,
+                fresh.pfold,
+                fresh.theta,
+                fresh.tc
+            )
+        );
+        assert!(p.weights.iter().flatten().all(|&w| w == 0));
     }
 }

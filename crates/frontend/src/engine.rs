@@ -42,12 +42,13 @@ use crate::sampled::{build_plan, SampleParams, SamplePlan, SampledInfo};
 use crate::schedule::{self, SchedulerStats};
 use crate::simulator::{offline_sequences, RunResult, SimConfig, WrongPathConfig};
 use fe_branch::{HashedPerceptron, PredictorStats, ReturnAddressStack, TargetCache};
-use fe_btb::{Btb, GhrpBtbPolicy};
+use fe_btb::{Btb, BtbStats, GhrpBtbPolicy};
 use fe_cache::policy::{Drrip, Fifo, Lru, RandomPolicy, Srrip};
-use fe_cache::{Cache, CacheConfig, ReplacementPolicy};
+use fe_cache::{Cache, CacheConfig, CacheStats, ReplacementPolicy};
 use fe_sdbp::{CounterDbpPolicy, SdbpPolicy, ShipPolicy};
 use fe_trace::fetch::FetchStream;
 use fe_trace::record::{BranchKind, BranchRecord, INSTRUCTION_BYTES};
+use fe_trace::synth::program::Program;
 use fe_trace::synth::{StreamedTrace, SyntheticTrace, Walker, WorkloadSpec};
 use ghrp_core::{GhrpPolicy, SharedGhrp};
 
@@ -151,22 +152,47 @@ struct SharedFrontEnd {
     bp: HashedPerceptron,
     ras: ReturnAddressStack,
     itp: TargetCache,
-    bp_stats: PredictorStats,
+    counts: FrontCounters,
+}
+
+/// The shared front end's counters. Every one is a monotone count, so the
+/// counts of a measured interval are the difference of two snapshots.
+#[derive(Debug, Clone, Copy, Default)]
+struct FrontCounters {
+    bp: PredictorStats,
     ras_mispredictions: u64,
     /// (predicted, mispredicted) indirect jumps/calls.
     indirect: (u64, u64),
+}
+
+impl FrontCounters {
+    /// The counts since the snapshot `base`.
+    fn since(&self, base: &FrontCounters) -> FrontCounters {
+        FrontCounters {
+            bp: PredictorStats {
+                predictions: self.bp.predictions - base.bp.predictions,
+                mispredictions: self.bp.mispredictions - base.bp.mispredictions,
+            },
+            ras_mispredictions: self.ras_mispredictions - base.ras_mispredictions,
+            indirect: (
+                self.indirect.0 - base.indirect.0,
+                self.indirect.1 - base.indirect.1,
+            ),
+        }
+    }
 }
 
 impl SharedFrontEnd {
     /// Predict and train on one branch record; returns whether the front
     /// end mispredicted it (the trigger for wrong-path injection).
     fn observe(&mut self, branch: &BranchRecord) -> bool {
+        let counts = &mut self.counts;
         let mut mispredicted = false;
         match branch.kind {
             BranchKind::CondDirect => {
                 let pred = self.bp.predict_and_update(branch.pc, branch.taken);
                 let correct = pred == branch.taken;
-                self.bp_stats.record(correct);
+                counts.bp.record(correct);
                 mispredicted = !correct;
             }
             BranchKind::Call => {
@@ -174,17 +200,17 @@ impl SharedFrontEnd {
             }
             BranchKind::IndirectCall => {
                 self.ras.push(branch.fall_through());
-                self.indirect.0 += 1;
+                counts.indirect.0 += 1;
                 if self.itp.predict(branch.pc) != Some(branch.target) {
-                    self.indirect.1 += 1;
+                    counts.indirect.1 += 1;
                     mispredicted = true;
                 }
                 self.itp.update(branch.pc, branch.target);
             }
             BranchKind::Indirect => {
-                self.indirect.0 += 1;
+                counts.indirect.0 += 1;
                 if self.itp.predict(branch.pc) != Some(branch.target) {
-                    self.indirect.1 += 1;
+                    counts.indirect.1 += 1;
                     mispredicted = true;
                 }
                 self.itp.update(branch.pc, branch.target);
@@ -192,20 +218,13 @@ impl SharedFrontEnd {
             BranchKind::Return => {
                 let predicted = self.ras.pop();
                 if predicted != Some(branch.target) {
-                    self.ras_mispredictions += 1;
+                    counts.ras_mispredictions += 1;
                     mispredicted = true;
                 }
             }
             BranchKind::UncondDirect => {}
         }
         mispredicted
-    }
-
-    /// End-of-warm-up counter reset (predictor state itself stays warm).
-    fn reset_stats(&mut self) {
-        self.bp_stats = PredictorStats::default();
-        self.ras_mispredictions = 0;
-        self.indirect = (0, 0);
     }
 }
 
@@ -517,13 +536,15 @@ impl Lane {
         with_pair!(&mut self.pair, (icache, btb) => state.drain(icache, btb, events));
     }
 
-    fn reset_stats(&mut self) {
-        with_pair!(&mut self.pair, (icache, btb) => {
-            icache.reset_stats();
-            btb.reset_stats();
-        });
-        self.state.wrong_path_misses = 0;
-        self.state.wrong_path_accesses = 0;
+    /// A snapshot of the lane's counters.
+    fn counters(&self) -> LaneCounters {
+        let (icache, btb) = with_pair!(&self.pair, (icache, btb) => (icache.stats(), btb.stats()));
+        LaneCounters {
+            icache,
+            btb,
+            wrong_path_misses: self.state.wrong_path_misses,
+            wrong_path_accesses: self.state.wrong_path_accesses,
+        }
     }
 
     /// Restore the lane to its freshly-built state, reusing every
@@ -552,21 +573,36 @@ impl Lane {
         state.groups = 0;
     }
 
-    fn finish(&self, measured_instructions: u64, fe: &SharedFrontEnd) -> RunResult {
-        let (mut icache_stats, btb_stats) =
-            with_pair!(&self.pair, (icache, btb) => (icache.stats(), btb.stats()));
+    /// The lane's result over the interval since the snapshot `base`, in
+    /// which the front end counted `fe`.
+    fn finish(
+        &self,
+        base: &LaneCounters,
+        measured_instructions: u64,
+        fe: &FrontCounters,
+    ) -> RunResult {
+        let now = self.counters();
+        let mut icache_stats = CacheStats {
+            accesses: now.icache.accesses - base.icache.accesses,
+            hits: now.icache.hits - base.icache.hits,
+            misses: now.icache.misses - base.icache.misses,
+            bypasses: now.icache.bypasses - base.icache.bypasses,
+            evictions: now.icache.evictions - base.icache.evictions,
+            prefetch_fills: now.icache.prefetch_fills - base.icache.prefetch_fills,
+        };
+        let wrong_path_misses = now.wrong_path_misses - base.wrong_path_misses;
+        let wrong_path_accesses = now.wrong_path_accesses - base.wrong_path_accesses;
         // Subtract wrong-path pollution from the figure of merit.
-        let state = &self.state;
-        icache_stats.misses -= state.wrong_path_misses.min(icache_stats.misses);
-        icache_stats.accesses -= state.wrong_path_accesses.min(icache_stats.accesses);
+        icache_stats.misses -= wrong_path_misses.min(icache_stats.misses);
+        icache_stats.accesses -= wrong_path_accesses.min(icache_stats.accesses);
         RunResult {
             policy: self.policy,
             instructions: measured_instructions,
             icache: icache_stats,
-            btb_lookups: btb_stats.lookups,
-            btb_misses: btb_stats.misses,
-            cond_branches: fe.bp_stats.predictions,
-            cond_mispredictions: fe.bp_stats.mispredictions,
+            btb_lookups: now.btb.lookups - base.btb.lookups,
+            btb_misses: now.btb.misses - base.btb.misses,
+            cond_branches: fe.bp.predictions,
+            cond_mispredictions: fe.bp.mispredictions,
             ras_mispredictions: fe.ras_mispredictions,
             indirect_branches: fe.indirect.0,
             indirect_mispredictions: fe.indirect.1,
@@ -575,18 +611,45 @@ impl Lane {
     }
 }
 
+/// A lane's counters: its I-cache and BTB statistics and its wrong-path
+/// tallies. Every one is a monotone count (see [`FrontCounters`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneCounters {
+    icache: CacheStats,
+    btb: BtbStats,
+    wrong_path_misses: u64,
+    wrong_path_accesses: u64,
+}
+
 /// Reusable per-worker lane storage: a worker's consecutive tasks usually
 /// share a lane list, so the arena keeps the previous task's lanes and
 /// resets them **in place** (same post-construction state, zero
 /// allocation) when the list matches, rebuilding on a change. Offline
 /// lanes always rebuild: their state is derived from the concrete trace.
-/// The event batch is kept here too, so a task allocates nothing.
+/// The event batch and the warm-up snapshots are kept here too, so a
+/// task allocates nothing.
 #[derive(Debug, Default)]
 struct EngineArena {
     /// The lane list the held lanes were built for.
     key: Vec<LaneSpec>,
     lanes: Vec<Lane>,
     batch: Vec<LaneEvent>,
+    /// The current segment's snapshots: at its start and after each
+    /// chunk that can end its warm-up (see [`Replay`]).
+    marks: Vec<Mark>,
+    /// Every lane's counters at each mark, mark-major.
+    mark_lanes: Vec<LaneCounters>,
+    /// Every lane's counters where the current measurement started.
+    base_lanes: Vec<LaneCounters>,
+}
+
+/// A snapshot taken after a chunk that can end a warm-up.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    /// Instructions of the segment up to and including the chunk.
+    instructions: u64,
+    /// The shared front end's counters.
+    front: FrontCounters,
 }
 
 impl EngineArena {
@@ -690,16 +753,10 @@ impl Segment {
 ///
 /// `records(seg)` opens the record stream of one segment. Cache, BTB and
 /// predictor **state** persists across segments (the previous segment is
-/// the best available approximation of a skipped gap); **counters**
-/// reset at each segment's warm-up boundary, so each segment's results
-/// cover exactly its measured interval. A segment without warm-up resets
-/// counters before its first record.
-///
-/// The shared front end runs ahead of the lanes by up to [`LANE_BATCH`]
-/// events: it buffers fetch groups and the branches lanes act on, then
-/// each lane drains the batch through its monomorphic kernel. The batch
-/// drains before every counter reset and at the end of every segment, so
-/// each lane sees exactly the per-event order of a standalone run.
+/// the best available approximation of a skipped gap); each segment's
+/// results cover exactly its measured interval, which starts at its
+/// warm-up boundary ([`Replay`]). A segment without warm-up measures from
+/// its first record.
 ///
 /// Every lane shares the first lane's I-cache block size: the fetch
 /// stream is chunked once at that granularity. Everything else — policy,
@@ -731,40 +788,145 @@ where
     // Offline (OPT) lanes need the full access sequences ahead of time:
     // precompute them once per trace and share them across all offline
     // lanes (the block sequence is geometry-independent).
-    let offline = lanes.iter().any(|l| l.config.policy.is_offline()).then(|| {
+    let offline = has_offline(lanes).then(|| {
         assert!(
             matches!(segments, [s] if s.rec_lo == 0 && s.rec_hi == u64::MAX),
             "offline policies cannot be phase-sampled"
         );
         offline_sequences(records(&segments[0]), block_bytes)
     });
-    arena
-        .prepare(lanes, offline.as_ref())
-        .map_err(|(lane, error)| RunError::Lane { lane, error })?;
-    let EngineArena { lanes, batch, .. } = arena;
-    batch.clear();
-    batch.reserve(LANE_BATCH);
-
-    let mut fe = SharedFrontEnd::default();
+    let mut replay = Replay::new(lanes, block_bytes, offline.as_ref(), arena)?;
     let mut out = Vec::with_capacity(segments.len() * lanes.len());
     for seg in segments {
         let warmup = seg.warmup_instructions;
-        let mut warmed = warmup == 0;
-        if warmed {
-            // No warm-up prefix: counters carried over from the previous
-            // segment must still be cleared at the measurement start.
-            fe.reset_stats();
-            for lane in lanes.iter_mut() {
-                lane.reset_stats();
-            }
-        }
+        replay.segment(records(seg), warmup, warmup);
+        replay.close(warmup, &mut out);
+    }
+    Ok(out)
+}
+
+/// The replay loop over one full walk of `spec` through `program` (built
+/// from `spec`), walking the program **once**.
+///
+/// A full run warms on `min(total / 2, warmup_cap)` instructions, but the
+/// walk's total is known only once it ends. The walker stops at the first
+/// record whose block reaches the budget, so the total lies in
+/// `[budget, budget + largest block)`, and the warm-up in a window just
+/// as narrow. The loop snapshots every counter at each chunk where the
+/// boundary can fall and measures from the right snapshot at the end of
+/// the walk. When the cap is at most half the budget, the window is the
+/// cap alone. Results equal [`replay_segments`] over
+/// [`WorkloadSpec::streamed`], which walks the trace twice.
+///
+/// # Errors
+///
+/// As [`replay_segments`].
+fn replay_walk(
+    lanes: &[LaneSpec],
+    spec: &WorkloadSpec,
+    program: &Program,
+    warmup_cap: u64,
+    arena: &mut EngineArena,
+) -> Result<Vec<RunResult>, RunError> {
+    let Some(first) = lanes.first() else {
+        return Ok(Vec::new());
+    };
+    let block_bytes = first.config.icache.block_bytes();
+    let offline = has_offline(lanes).then(|| offline_sequences(spec.walk(program), block_bytes));
+    let mut replay = Replay::new(lanes, block_bytes, offline.as_ref(), arena)?;
+    let budget = spec.instructions;
+    let longest = budget.saturating_add(u64::from(program.largest_block().saturating_sub(1)));
+    let (lo, hi) = ((budget / 2).min(warmup_cap), (longest / 2).min(warmup_cap));
+    let mut walk = spec.walk(program);
+    replay.segment(&mut walk, lo, hi);
+    let warmup = (walk.instructions() / 2).min(warmup_cap);
+    debug_assert!(
+        (lo..=hi).contains(&warmup),
+        "warm-up {warmup} outside its window [{lo}, {hi}]"
+    );
+    let mut out = Vec::with_capacity(lanes.len());
+    replay.close(warmup, &mut out);
+    Ok(out)
+}
+
+/// Whether any lane runs an offline (OPT) policy.
+fn has_offline(lanes: &[LaneSpec]) -> bool {
+    lanes.iter().any(|l| l.config.policy.is_offline())
+}
+
+/// The replay loop's state over one task: the shared front end, driven
+/// once, and the lanes of the arena it feeds.
+///
+/// The shared front end runs ahead of the lanes by up to [`LANE_BATCH`]
+/// events: it buffers fetch groups and the branches lanes act on, then
+/// each lane drains the batch through its monomorphic kernel.
+///
+/// Counters are never reset. A segment measures from its warm-up
+/// boundary: the first chunk at which the segment's cumulative
+/// instructions reach its warm-up (or its start, for a warm-up of 0).
+/// [`Replay::segment`] drains the batch and snapshots every counter at
+/// each chunk where the boundary can fall, and [`Replay::close`] reports
+/// each lane's counts since the boundary's snapshot. All counters are
+/// monotone counts, so this equals resetting them at the boundary, and
+/// each lane sees exactly the per-event order of a standalone run.
+struct Replay<'a> {
+    fe: SharedFrontEnd,
+    block_bytes: u64,
+    arena: &'a mut EngineArena,
+    /// The front end's counters where the current measurement started.
+    base: FrontCounters,
+    /// Instructions of the segment replayed last.
+    instructions: u64,
+}
+
+impl<'a> Replay<'a> {
+    /// Ready `arena`'s lanes for `lanes` (offline lanes from `offline`,
+    /// the trace's precomputed access sequences), measuring from the
+    /// start.
+    fn new(
+        lanes: &[LaneSpec],
+        block_bytes: u64,
+        offline: Option<&(Vec<u64>, Vec<u64>)>,
+        arena: &'a mut EngineArena,
+    ) -> Result<Replay<'a>, RunError> {
+        arena
+            .prepare(lanes, offline)
+            .map_err(|(lane, error)| RunError::Lane { lane, error })?;
+        arena.batch.clear();
+        arena.batch.reserve(LANE_BATCH);
+        arena.base_lanes.clear();
+        arena
+            .base_lanes
+            .extend(arena.lanes.iter().map(Lane::counters));
+        Ok(Replay {
+            fe: SharedFrontEnd::default(),
+            block_bytes,
+            arena,
+            base: FrontCounters::default(),
+            instructions: 0,
+        })
+    }
+
+    /// Replay one segment's `records`, snapshotting every counter at the
+    /// segment start and after each chunk that can end a warm-up of
+    /// `lo..=hi` instructions.
+    fn segment(&mut self, records: impl Iterator<Item = BranchRecord>, lo: u64, hi: u64) {
+        let EngineArena {
+            lanes,
+            batch,
+            marks,
+            mark_lanes,
+            ..
+        } = &mut *self.arena;
+        let fe = &mut self.fe;
+        marks.clear();
+        mark_lanes.clear();
+        // The segment start is the boundary of a warm-up of 0.
+        mark(0, fe.counts, lanes, marks, mark_lanes);
         let mut instructions = 0u64;
-        let mut measured_instructions = 0u64;
-        for chunk in FetchStream::new(records(seg), block_bytes) {
+        for chunk in FetchStream::new(records, self.block_bytes) {
+            let before = instructions;
             instructions += u64::from(chunk.n_instr);
-            if warmed {
-                measured_instructions += u64::from(chunk.n_instr);
-            }
             if chunk.starts_group {
                 batch.push(LaneEvent::Group {
                     block_addr: chunk.block_addr,
@@ -782,13 +944,10 @@ where
                     });
                 }
             }
-            if !warmed && instructions >= warmup {
-                warmed = true;
+            if instructions >= lo && before < hi {
+                // The first chunk to reach some warm-up in `lo..=hi`.
                 drain_batch(lanes, batch);
-                fe.reset_stats();
-                for lane in lanes.iter_mut() {
-                    lane.reset_stats();
-                }
+                mark(instructions, fe.counts, lanes, marks, mark_lanes);
             } else if batch.len() + 2 > LANE_BATCH {
                 // A chunk adds at most two events: never outgrow the
                 // reserved capacity.
@@ -796,22 +955,62 @@ where
             }
         }
         drain_batch(lanes, batch);
+        self.instructions = instructions;
+    }
+
+    /// Close the segment just replayed, whose warm-up is `warmup`
+    /// instructions, appending every lane's result to `out`. Measurement
+    /// starts at the first mark at or past the warm-up. A segment that
+    /// never finishes its warm-up measures no instructions and keeps the
+    /// previous measurement start, as a counter reset at the boundary
+    /// would.
+    fn close(&mut self, warmup: u64, out: &mut Vec<RunResult>) {
+        let EngineArena {
+            lanes,
+            marks,
+            mark_lanes,
+            base_lanes,
+            ..
+        } = &mut *self.arena;
+        let n = lanes.len();
+        let mut measured = 0;
+        if let Some(k) = marks.iter().position(|m| m.instructions >= warmup) {
+            self.base = marks[k].front;
+            base_lanes.copy_from_slice(&mark_lanes[k * n..(k + 1) * n]);
+            measured = self.instructions - marks[k].instructions;
+        }
+        let fe = self.fe.counts.since(&self.base);
         out.extend(
             lanes
                 .iter()
-                .map(|lane| lane.finish(measured_instructions, &fe)),
+                .zip(base_lanes.iter())
+                .map(|(lane, base)| lane.finish(base, measured, &fe)),
+        );
+        // Every lane consumed the identical event stream.
+        debug_assert!(
+            lanes
+                .windows(2)
+                .all(|w| w[0].state.groups == w[1].state.groups),
+            "policy lanes diverged: fetch-group counts {:?}",
+            lanes.iter().map(|l| l.state.groups).collect::<Vec<_>>()
         );
     }
+}
 
-    // Every lane consumed the identical event stream.
-    debug_assert!(
-        lanes
-            .windows(2)
-            .all(|w| w[0].state.groups == w[1].state.groups),
-        "policy lanes diverged: fetch-group counts {:?}",
-        lanes.iter().map(|l| l.state.groups).collect::<Vec<_>>()
-    );
-    Ok(out)
+/// Snapshot the front end's `front` counters and every lane's counters
+/// after `instructions` of the segment.
+fn mark(
+    instructions: u64,
+    front: FrontCounters,
+    lanes: &[Lane],
+    marks: &mut Vec<Mark>,
+    mark_lanes: &mut Vec<LaneCounters>,
+) {
+    marks.push(Mark {
+        instructions,
+        front,
+    });
+    mark_lanes.extend(lanes.iter().map(Lane::counters));
 }
 
 /// Drain `batch` into every lane, lane by lane, and empty it.
@@ -952,14 +1151,21 @@ impl LaneMetrics {
     /// Add one segment's result at the segment's weight. A segment whose
     /// measurement never started contributes nothing (its MPKI would be
     /// 0/0).
-    fn fold(&mut self, seg: &Segment, r: &RunResult) {
+    fn fold(&mut self, weight: f64, r: &RunResult) {
         self.instructions += r.instructions;
-        if r.instructions == 0 || seg.weight == 0.0 {
+        if r.instructions == 0 || weight == 0.0 {
             return;
         }
-        self.branch_mpki += seg.weight * r.branch_mpki();
-        self.icache_mpki += seg.weight * r.icache_mpki();
-        self.btb_mpki += seg.weight * r.btb_mpki();
+        self.branch_mpki += weight * r.branch_mpki();
+        self.icache_mpki += weight * r.icache_mpki();
+        self.btb_mpki += weight * r.btb_mpki();
+    }
+
+    /// A full run's figures: its one segment at weight 1.
+    fn full(r: &RunResult) -> LaneMetrics {
+        let mut m = LaneMetrics::default();
+        m.fold(1.0, r);
+        m
     }
 }
 
@@ -1186,11 +1392,11 @@ impl TaskGrid<'_> {
         };
         match self.spec.source {
             SuiteSource::Streamed => {
-                let trace = self.spec.specs[s].streamed();
-                let full = [Segment::full(trace.instructions(), self.warmup_cap)];
-                let records = |_: &Segment| trace.replay();
-                let results = replay_segments(part, &full, records, arena).map_err(in_run)?;
-                Ok(fold_segments(&full, &results, part.len()))
+                let spec = &self.spec.specs[s];
+                let program = spec.build_program();
+                let results =
+                    replay_walk(part, spec, &program, self.warmup_cap, arena).map_err(in_run)?;
+                Ok(results.iter().map(LaneMetrics::full).collect())
             }
             SuiteSource::Corpus(corpus) => {
                 let trace = corpus.trace(s);
@@ -1243,7 +1449,7 @@ fn fold_segments(segments: &[Segment], results: &[RunResult], nlanes: usize) -> 
     let mut metrics = vec![LaneMetrics::default(); nlanes];
     for (seg, seg_results) in segments.iter().zip(results.chunks_exact(nlanes.max(1))) {
         for (m, r) in metrics.iter_mut().zip(seg_results) {
-            m.fold(seg, r);
+            m.fold(seg.weight, r);
         }
     }
     metrics
@@ -1285,10 +1491,26 @@ mod tests {
         .expect("lanes build")
     }
 
-    /// The replay loop's schedule without the batch: every chunk's events
-    /// go to every lane at once, through the same lane kernels. Results
-    /// equal to this show the batch never reorders or drops an event
-    /// across a counter reset or a segment end.
+    /// Zero every counter of the front end and the lanes, keeping their
+    /// state warm: the warm-up boundary as a counter reset.
+    fn reset_counters(fe: &mut SharedFrontEnd, lanes: &mut [Lane]) {
+        fe.counts = FrontCounters::default();
+        for lane in lanes {
+            with_pair!(&mut lane.pair, (icache, btb) => {
+                icache.reset_stats();
+                btb.reset_stats();
+            });
+            lane.state.wrong_path_misses = 0;
+            lane.state.wrong_path_accesses = 0;
+        }
+    }
+
+    /// The replay loop's schedule without the batch, and with counters
+    /// reset at each warm-up boundary instead of snapshotted: every
+    /// chunk's events go to every lane at once, through the same lane
+    /// kernels. Results equal to this show the batch never reorders or
+    /// drops an event across a warm-up boundary or a segment end, and
+    /// that measuring from snapshots equals resetting the counters.
     fn unbatched(
         lanes: &[LaneSpec],
         segments: &[Segment],
@@ -1303,8 +1525,7 @@ mod tests {
         for seg in segments {
             let mut warmed = seg.warmup_instructions == 0;
             if warmed {
-                fe.reset_stats();
-                lanes.iter_mut().for_each(Lane::reset_stats);
+                reset_counters(&mut fe, lanes);
             }
             let (mut instructions, mut measured) = (0u64, 0u64);
             for chunk in FetchStream::new(seg_records(records, seg), block_bytes) {
@@ -1333,11 +1554,15 @@ mod tests {
                 }
                 if !warmed && instructions >= seg.warmup_instructions {
                     warmed = true;
-                    fe.reset_stats();
-                    lanes.iter_mut().for_each(Lane::reset_stats);
+                    reset_counters(&mut fe, lanes);
                 }
             }
-            out.extend(lanes.iter().map(|lane| lane.finish(measured, &fe)));
+            let zero = LaneCounters::default();
+            out.extend(
+                lanes
+                    .iter()
+                    .map(|lane| lane.finish(&zero, measured, &fe.counts)),
+            );
         }
         out
     }
@@ -1896,5 +2121,172 @@ mod tests {
             &mut EngineArena::default(),
         );
         assert_eq!(direct, Err(err));
+    }
+
+    /// Instructions walked after each record of `spec`'s walk.
+    fn walk_ends(spec: &WorkloadSpec) -> Vec<u64> {
+        let program = spec.build_program();
+        let mut walk = spec.walk(&program);
+        let mut ends = Vec::new();
+        while walk.next().is_some() {
+            ends.push(walk.instructions());
+        }
+        ends
+    }
+
+    /// Budgets at the edges of the one-walk warm-up window: 0, 1, one
+    /// below the first block, and budgets whose last block overshoots by
+    /// 1 and by the largest possible amount (`largest block - 1`).
+    fn edge_budgets(seed: u64) -> Vec<u64> {
+        let long = spec(seed, 20_000);
+        let ends = walk_ends(&long);
+        let largest = u64::from(long.build_program().largest_block());
+        let block = |k: usize| ends[k] - ends[k - 1];
+        let by_one = (1..ends.len())
+            .find(|&k| ends[k] > 3_000 && block(k) >= 2)
+            .expect("a multi-instruction block");
+        let by_max = (1..ends.len())
+            .find(|&k| ends[k] > 2_000 && block(k) == largest)
+            .expect("the largest block executes");
+        assert!(ends[0] >= 2, "the first block spans several instructions");
+        vec![0, 1, ends[0] - 1, ends[by_one] - 1, ends[by_max - 1] + 1]
+    }
+
+    /// Warm-up caps around a walk of `budget` that executes `total`
+    /// instructions: 0, below and at half the budget (the boundary is
+    /// known up front), inside the window, at and above half the total,
+    /// and the paper default.
+    fn edge_caps(budget: u64, total: u64) -> Vec<u64> {
+        let mut caps = vec![
+            0,
+            budget / 4,
+            budget / 2,
+            budget / 2 + 1,
+            total / 2,
+            total / 2 + 1,
+            SimConfig::paper_default().warmup_cap,
+        ];
+        caps.sort_unstable();
+        caps.dedup();
+        caps
+    }
+
+    /// [`edge_lanes`] plus an offline lane, whose precompute walks the
+    /// trace a second time.
+    fn walk_lanes(warmup_cap: u64) -> Vec<LaneSpec> {
+        let mut lanes = edge_lanes(warmup_cap);
+        let mut opt = lanes[2];
+        opt.config.policy = PolicyKind::Opt;
+        lanes.push(opt);
+        lanes
+    }
+
+    #[test]
+    fn one_walk_matches_the_counting_walk_and_standalone_runs() {
+        for seed in [3, 5] {
+            for budget in edge_budgets(seed) {
+                let s = spec(seed, budget);
+                let trace = s.generate();
+                let program = s.build_program();
+                let largest = u64::from(program.largest_block());
+                assert!(
+                    budget == 0 || (budget..budget + largest).contains(&trace.instructions),
+                    "budget {budget}: {} instructions",
+                    trace.instructions
+                );
+                for cap in edge_caps(budget, trace.instructions) {
+                    let lanes = walk_lanes(cap);
+                    let arena = &mut EngineArena::default();
+                    let walked =
+                        replay_walk(&lanes, &s, &program, cap, arena).expect("lanes build");
+                    let streamed = s.streamed();
+                    let full = [Segment::full(streamed.instructions(), cap)];
+                    let counted = replay_segments(&lanes, &full, |_| streamed.replay(), arena)
+                        .expect("lanes build");
+                    assert_eq!(walked, counted, "seed {seed}, budget {budget}, cap {cap}");
+                    for (r, lane) in walked.iter().zip(&lanes) {
+                        let alone =
+                            Simulator::new(lane.config).run(&trace.records, trace.instructions);
+                        assert_eq!(
+                            *r, alone,
+                            "seed {seed}, budget {budget}, cap {cap}, lane {}",
+                            lane.config.policy
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_runs_match_corpus_runs_at_every_lane_split() {
+        use fe_trace::corpus::{Corpus, CorpusBuilder, SuiteCorpus};
+        let specs: Vec<WorkloadSpec> = edge_budgets(7)
+            .into_iter()
+            .map(|budget| spec(7, budget))
+            .collect();
+        let mut b = CorpusBuilder::new();
+        for s in &specs {
+            b.push_synthetic(&s.generate()).expect("encodes");
+        }
+        let corpus =
+            SuiteCorpus::from_corpus(&Corpus::from_bytes(b.finish()).expect("fresh corpus parses"));
+        let last = specs.last().expect("five budgets");
+        let window = last.instructions / 2 + 1;
+        for cap in [last.instructions / 4, window, u64::MAX] {
+            let lanes = edge_lanes(cap);
+            let run = |source, threads, part_width| {
+                RunSpec {
+                    specs: &specs,
+                    source,
+                    lanes: &lanes,
+                    sampling: None,
+                    part_width,
+                }
+                .run(threads)
+                .expect("valid spec")
+                .cells
+            };
+            let from_corpus = run(SuiteSource::Corpus(&corpus), 1, None);
+            for (threads, part_width) in [(1, None), (1, Some(1)), (2, Some(3)), (2, None)] {
+                assert_eq!(
+                    run(SuiteSource::Streamed, threads, part_width),
+                    from_corpus,
+                    "cap {cap}, {threads} threads, parts of {part_width:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_streamed_task_walks_its_trace_once() {
+        use fe_trace::synth::walks_started;
+        let specs = [spec(83, 5_000), spec(89, 5_000)];
+        let base = SimConfig::paper_default();
+        let policies = [PolicyKind::Lru, PolicyKind::Ghrp, PolicyKind::Opt];
+        let lanes = LaneSpec::grid(&base, std::slice::from_ref(&base.icache), &policies, true);
+        for part_width in [None, Some(1), Some(2)] {
+            let spec = RunSpec {
+                specs: &specs,
+                source: SuiteSource::Streamed,
+                lanes: &lanes,
+                sampling: None,
+                part_width,
+            };
+            let grid = spec.task_grid(1).expect("valid spec");
+            let mut arena = EngineArena::default();
+            for t in 0..grid.len() {
+                let (lo, hi) = grid.parts[t / specs.len()];
+                // An offline lane's precompute is one more walk.
+                let walks = 1 + u64::from(has_offline(&lanes[lo..hi]));
+                let before = walks_started();
+                grid.task(&mut arena, t).expect("lanes build");
+                assert_eq!(
+                    walks_started() - before,
+                    walks,
+                    "task {t}, parts of {part_width:?}"
+                );
+            }
+        }
     }
 }

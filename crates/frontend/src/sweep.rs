@@ -19,7 +19,7 @@ use crate::sampled::{SampleParams, SampledInfo};
 use crate::schedule::SchedulerStats;
 use crate::simulator::SimConfig;
 use crate::stats;
-use fe_cache::CacheConfig;
+use fe_cache::{CacheConfig, ConfigError};
 use fe_trace::corpus::SuiteCorpus;
 use fe_trace::synth::WorkloadSpec;
 use serde::{Deserialize, Serialize};
@@ -137,17 +137,26 @@ pub fn paper_geometries() -> Vec<(u64, u32)> {
 /// The I-cache configurations of `geometries` (capacity, ways) at
 /// `base`'s block size.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if a geometry is invalid (non-power-of-two sets).
-pub fn sweep_icaches(base: &SimConfig, geometries: &[(u64, u32)]) -> Vec<CacheConfig> {
+/// Returns the [`ConfigError`] of the first geometry that is not a valid
+/// cache (capacity not a multiple of `ways` blocks, or a set count or
+/// associativity that is not a power of two).
+pub fn sweep_icaches(
+    base: &SimConfig,
+    geometries: &[(u64, u32)],
+) -> Result<Vec<CacheConfig>, ConfigError> {
     geometries
         .iter()
         .map(|&(capacity, ways)| {
             CacheConfig::with_capacity(capacity, ways, base.icache.block_bytes())
-                .expect("valid sweep geometry")
         })
         .collect()
+}
+
+/// [`sweep_icaches`] for the adapters, which panic on a bad geometry.
+fn sweep_icaches_or_panic(base: &SimConfig, geometries: &[(u64, u32)]) -> Vec<CacheConfig> {
+    sweep_icaches(base, geometries).unwrap_or_else(|e| panic!("invalid sweep geometry: {e}"))
 }
 
 /// Sweep the suite over `geometries` (capacity, ways) pairs on `threads`
@@ -176,7 +185,7 @@ pub fn run_sweep_with(
     source: SuiteSource<'_>,
     measure_btb: bool,
 ) -> SweepResult {
-    let icaches = sweep_icaches(base, geometries);
+    let icaches = sweep_icaches_or_panic(base, geometries);
     let lanes = LaneSpec::grid(base, &icaches, policies, measure_btb);
     let spec = RunSpec {
         specs,
@@ -208,7 +217,7 @@ pub fn run_sweep_sampled(
     params: &SampleParams,
     measure_btb: bool,
 ) -> (SweepResult, SampledInfo) {
-    let icaches = sweep_icaches(base, geometries);
+    let icaches = sweep_icaches_or_panic(base, geometries);
     let lanes = LaneSpec::grid(base, &icaches, policies, measure_btb);
     let spec = RunSpec {
         specs,
@@ -252,6 +261,25 @@ mod tests {
         assert_eq!(g.len(), 8);
         assert!(g.contains(&(64 * 1024, 8)));
         assert!(g.contains(&(8 * 1024, 4)));
+    }
+
+    #[test]
+    fn a_bad_sweep_geometry_is_an_error() {
+        let base = SimConfig::paper_default();
+        let good = sweep_icaches(&base, &paper_geometries()).expect("paper geometries are valid");
+        assert_eq!(good.len(), 8);
+        // 3 KB of 64 B blocks in 4 ways is 12 sets: not a power of two.
+        let err = sweep_icaches(&base, &[(8 * 1024, 4), (3 * 1024, 4)])
+            .expect_err("12 sets is not a valid cache");
+        assert_eq!(
+            err,
+            ConfigError::NotPowerOfTwo {
+                field: "sets",
+                value: 12
+            }
+        );
+        let err = sweep_icaches(&base, &[(1000, 4)]).expect_err("1000 B is not whole blocks");
+        assert!(matches!(err, ConfigError::CapacityMismatch { .. }), "{err}");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use program::{Bias, Block, FuncId, Function, Program, Select, Terminator};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-pub use walker::Walker;
+pub use walker::{walks_started, Walker};
 
 /// The four CBP-5 workload categories.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]

@@ -190,6 +190,20 @@ impl Program {
         self.functions.iter().map(Function::code_bytes).sum()
     }
 
+    /// Instructions in the program's largest block (0 without blocks).
+    ///
+    /// A walk stops at the first record whose block reaches its budget,
+    /// so a walk of budget `b > 0` executes between `b` and
+    /// `b + largest_block() - 1` instructions.
+    pub fn largest_block(&self) -> u32 {
+        self.functions
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .map(|b| b.n_instr)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Validate structural invariants; used by tests and debug assertions.
     ///
     /// Checks that every block target exists, every callee exists, blocks

@@ -7,6 +7,7 @@ use crate::record::{BranchKind, BranchRecord, INSTRUCTION_BYTES};
 use fe_cache::FastMap;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cell::Cell;
 
 /// One activation record on the walker's call stack.
 #[derive(Debug)]
@@ -33,6 +34,19 @@ const MAX_CALL_DEPTH: usize = 128;
 /// instead of all sites calling the same one in lockstep.
 fn rotation_offset(pc: u64) -> u32 {
     (pc.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) as u32
+}
+
+thread_local! {
+    /// Walks started on this thread (see [`walks_started`]).
+    static WALKS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Walks ([`Walker::new`] calls) started on the calling thread so far.
+///
+/// A walk is the costliest way to read a trace; replay tests use this
+/// count to check how often a simulation walks each trace.
+pub fn walks_started() -> u64 {
+    WALKS.with(Cell::get)
 }
 
 /// Executes a [`Program`], yielding one [`BranchRecord`] per executed
@@ -62,6 +76,7 @@ impl<'p> Walker<'p> {
     /// Panics if the program fails [`Program::validate`] (debug builds only).
     pub fn new(program: &'p Program, seed: u64, budget: u64) -> Walker<'p> {
         debug_assert_eq!(program.validate(), Ok(()));
+        WALKS.with(|w| w.set(w.get() + 1));
         Walker {
             program,
             rng: SmallRng::seed_from_u64(seed),
