@@ -12,9 +12,11 @@
 //!   columns, a per-column FNV-1a checksum, a versioned header, and a
 //!   per-trace index so one file can hold a whole workload suite;
 //! * a [`Corpus`] handle that loads a file **once** into a shared
-//!   immutable buffer (`Arc<[u8]>` via one read; with the optional
-//!   `mmap` feature, a `memmap2` mapping) and hands out
-//!   [`CorpusTrace`]s — cheap handles that share the buffer;
+//!   immutable buffer and hands out [`CorpusTrace`]s — cheap handles
+//!   that share the buffer. The buffer is the `Vec<u8>` of one file
+//!   read (or the bytes a caller passes in), owned as is behind an
+//!   `Arc` and never copied; with the optional `mmap` feature it is a
+//!   `memmap2` mapping instead;
 //! * [`CorpusCursor`]: a zero-allocation, branch-light column-slice
 //!   cursor that decodes records in cache-friendly fixed-size chunks
 //!   (column bytes stream linearly; the only per-record work is four
@@ -27,6 +29,12 @@
 //! All decode-side validation (checksums, `kind`/`taken` domains) runs
 //! once at load time ([`Corpus::load`] / [`Corpus::verify`]); cursors
 //! then decode without per-record checks and without allocating.
+//!
+//! Encoding and verification hash every column and sidecar in one pass
+//! of a private lockstep kernel that advances four FNV-1a chains at
+//! once, spread over the columns of several traces. Each sum is
+//! bit-identical to [`fnv1a64`] of its region, so the bytes on disk are
+//! the same as with one chain per column.
 //!
 //! Since version 2 each trace also carries a **signature sidecar**: the
 //! windowed basic-block-signature vectors of [`crate::signature`],
@@ -102,16 +110,84 @@ const CHUNK: usize = 256;
 
 /// The column names, in file order (error reporting).
 const COLUMNS: [&str; 4] = ["pc", "target", "kind", "taken"];
+/// Checksummed regions per trace: the four columns, then the sidecar.
+const CHECKSUMMED: usize = 5;
+
+/// FNV-1a-64 offset basis: the checksum of zero bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a-64 prime.
+const FNV_PRIME: u64 = 0x0100_0000_01b3;
+/// Checksum chains [`fnv1a64_each`] advances in lockstep.
+const LANES: usize = 4;
 
 /// FNV-1a over a byte slice (64-bit). Dependency-free and deterministic
 /// across platforms; collisions are irrelevant here — the checksum
 /// guards against torn writes and bit rot, not adversaries.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = FNV_OFFSET;
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// [`fnv1a64`] of every slice in `cols`, in order, bit-identical to
+/// hashing each one alone.
+///
+/// FNV-1a is one dependent xor-multiply per byte, so a lone chain runs
+/// at the multiplier's latency (about 4 cycles a byte). This kernel
+/// keeps [`LANES`] independent chains in flight: each lane takes the
+/// next unstarted slice as soon as its current one ends, and the lanes
+/// advance one byte each per step. A whole-corpus pass spreads the
+/// lanes over several traces' columns and runs near the multiplier's
+/// throughput instead.
+fn fnv1a64_each(cols: &[&[u8]]) -> Vec<u64> {
+    let mut sums = vec![FNV_OFFSET; cols.len()];
+    // Empty slices keep the offset basis and never occupy a lane.
+    let mut unstarted = (0..cols.len()).filter(|&c| !cols[c].is_empty());
+    // Busy lanes: (slice index, bytes hashed so far).
+    let mut lanes: Vec<(usize, usize)> = Vec::with_capacity(LANES);
+    loop {
+        while lanes.len() < LANES {
+            match unstarted.next() {
+                Some(c) => lanes.push((c, 0)),
+                None => break,
+            }
+        }
+        // Lockstep up to the end of the shortest busy slice. Once fewer
+        // slices than lanes are left, the idle lanes rehash the last
+        // busy lane's bytes into states that are thrown away: the step
+        // costs the same, and the loop stays one straight-line kernel.
+        let Some(step) = lanes.iter().map(|&(c, at)| cols[c].len() - at).min() else {
+            return sums;
+        };
+        let lane = |k: usize| lanes[k.min(lanes.len() - 1)];
+        let h = lockstep(
+            std::array::from_fn(|k| sums[lane(k).0]),
+            std::array::from_fn(|k| {
+                let (c, at) = lane(k);
+                &cols[c][at..at + step]
+            }),
+        );
+        for (lane, h) in lanes.iter_mut().zip(h) {
+            sums[lane.0] = h;
+            lane.1 += step;
+        }
+        lanes.retain(|&(c, at)| at < cols[c].len());
+    }
+}
+
+/// Advance [`LANES`] FNV-1a chains from states `h` over equally long
+/// byte slices, one byte of each per step.
+#[inline]
+fn lockstep(mut h: [u64; LANES], [a, b, c, d]: [&[u8]; LANES]) -> [u64; LANES] {
+    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+        h[0] = (h[0] ^ u64::from(a)).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ u64::from(c)).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ u64::from(d)).wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -127,8 +203,9 @@ fn read_u64(b: &[u8]) -> u64 {
 /// The shared immutable bytes behind a corpus: one buffer, many readers.
 #[derive(Clone)]
 enum SharedBuf {
-    /// Whole file read once into an `Arc<[u8]>`.
-    Owned(Arc<[u8]>),
+    /// The caller's buffer (a file read, or a builder's output), owned
+    /// as is: wrapping a `Vec` in an `Arc` moves it without copying.
+    Owned(Arc<Vec<u8>>),
     /// Memory-mapped file (the `mmap` feature).
     #[cfg(feature = "mmap")]
     Mapped(Arc<memmap2::Mmap>),
@@ -178,6 +255,32 @@ impl TraceMeta {
         } else {
             self.n
         }
+    }
+
+    /// Column `c`'s bytes (`c < 4`; ranges were validated at parse).
+    fn column<'a>(&self, data: &'a [u8], c: usize) -> &'a [u8] {
+        &data[self.offsets[c]..self.offsets[c] + self.col_len(c)]
+    }
+
+    /// The sidecar's bytes (empty when none is recorded: a zero-length
+    /// entry's offset was never validated, so it is not sliced).
+    fn sidecar<'a>(&self, data: &'a [u8]) -> &'a [u8] {
+        if self.sig_len == 0 {
+            return &[];
+        }
+        &data[self.sig_off..self.sig_off + self.sig_len]
+    }
+
+    /// Every checksummed region in file order: the four columns, then
+    /// the sidecar ([`CHECKSUMMED`] slices).
+    fn checksummed<'a>(&self, data: &'a [u8]) -> [&'a [u8]; CHECKSUMMED] {
+        [
+            self.column(data, 0),
+            self.column(data, 1),
+            self.column(data, 2),
+            self.column(data, 3),
+            self.sidecar(data),
+        ]
     }
 }
 
@@ -281,6 +384,11 @@ impl CorpusBuilder {
 
     /// Assemble the on-disk byte layout (header, index, columns,
     /// signature sidecars).
+    ///
+    /// Every column and sidecar is hashed once, in one lockstep kernel
+    /// pass, and copied into the output once; each trace's pending
+    /// columns are freed as soon as they are copied, so the pending
+    /// data and the output never both hold the whole corpus.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
         let index_bytes: usize = self
@@ -294,6 +402,12 @@ impl CorpusBuilder {
             .map(|t| t.pc.len() + t.target.len() + t.kind.len() + t.taken.len())
             .sum();
         let sig_bytes: usize = self.traces.iter().map(|t| t.sig.len()).sum();
+        let regions: Vec<&[u8]> = self
+            .traces
+            .iter()
+            .flat_map(|t| [&t.pc[..], &t.target, &t.kind, &t.taken, &t.sig])
+            .collect();
+        let sums = fnv1a64_each(&regions);
         let mut out = Vec::with_capacity(HEADER_BYTES + index_bytes + data_bytes + sig_bytes);
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&VERSION.to_le_bytes());
@@ -305,7 +419,7 @@ impl CorpusBuilder {
         // column data, also in trace order.
         let mut off = HEADER_BYTES + index_bytes;
         let mut sig_off = off + data_bytes;
-        for t in &self.traces {
+        for (t, sums) in self.traces.iter().zip(sums.chunks_exact(CHECKSUMMED)) {
             out.extend_from_slice(&t.name_len.to_le_bytes());
             out.extend_from_slice(t.name.as_bytes());
             out.extend_from_slice(&t.instructions.to_le_bytes());
@@ -314,22 +428,31 @@ impl CorpusBuilder {
                 out.extend_from_slice(&(off as u64).to_le_bytes());
                 off += col.len();
             }
-            for col in [&t.pc, &t.target, &t.kind, &t.taken] {
-                out.extend_from_slice(&fnv1a64(col).to_le_bytes());
+            for sum in &sums[..4] {
+                out.extend_from_slice(&sum.to_le_bytes());
             }
             out.extend_from_slice(&(sig_off as u64).to_le_bytes());
             out.extend_from_slice(&(t.sig.len() as u64).to_le_bytes());
-            out.extend_from_slice(&fnv1a64(&t.sig).to_le_bytes());
+            out.extend_from_slice(&sums[4].to_le_bytes());
             sig_off += t.sig.len();
         }
-        for t in &self.traces {
-            out.extend_from_slice(&t.pc);
-            out.extend_from_slice(&t.target);
-            out.extend_from_slice(&t.kind);
-            out.extend_from_slice(&t.taken);
+        let mut sigs = Vec::with_capacity(self.traces.len());
+        for t in self.traces {
+            let Pending {
+                pc,
+                target,
+                kind,
+                taken,
+                sig,
+                ..
+            } = t;
+            for col in [pc, target, kind, taken] {
+                out.extend_from_slice(&col);
+            }
+            sigs.push(sig);
         }
-        for t in &self.traces {
-            out.extend_from_slice(&t.sig);
+        for sig in sigs {
+            out.extend_from_slice(&sig);
         }
         out
     }
@@ -353,7 +476,7 @@ impl Corpus {
     ///
     /// Returns a [`TraceError`] on a malformed header or index, a
     /// checksum mismatch, or an out-of-domain `kind`/`taken` byte.
-    pub fn from_bytes(data: impl Into<Arc<[u8]>>) -> Result<Corpus, TraceError> {
+    pub fn from_bytes(data: impl Into<Vec<u8>>) -> Result<Corpus, TraceError> {
         let c = Corpus::open_bytes(data)?;
         c.verify()?;
         Ok(c)
@@ -365,14 +488,17 @@ impl Corpus {
     /// but may yield garbage records (invalid kinds decode as
     /// conditional branches).
     ///
+    /// The corpus takes ownership of the buffer: a `Vec<u8>` is shared
+    /// as is, never copied.
+    ///
     /// # Errors
     ///
     /// Returns a [`TraceError`] on a malformed header or index.
-    pub fn open_bytes(data: impl Into<Arc<[u8]>>) -> Result<Corpus, TraceError> {
-        let data: Arc<[u8]> = data.into();
+    pub fn open_bytes(data: impl Into<Vec<u8>>) -> Result<Corpus, TraceError> {
+        let data: Vec<u8> = data.into();
         let metas = parse_index(&data)?;
         Ok(Corpus {
-            data: SharedBuf::Owned(data),
+            data: SharedBuf::Owned(Arc::new(data)),
             metas,
         })
     }
@@ -464,51 +590,57 @@ impl Corpus {
     /// column, or [`TraceError::CorruptRecord`] for the first
     /// out-of-domain byte.
     pub fn verify(&self) -> Result<(), TraceError> {
-        let data = self.data.bytes();
-        for meta in &self.metas {
-            verify_trace(data, meta)?;
-        }
-        Ok(())
+        self.verify_each().into_iter().collect()
     }
 
     /// Per-trace verification outcomes, one per trace, without stopping
     /// at the first failure (for `report corpus info`).
+    ///
+    /// Every trace's columns and sidecar are hashed in one lockstep
+    /// kernel pass; the recorded sums are then checked trace by trace
+    /// in file order.
     #[must_use]
     pub fn verify_each(&self) -> Vec<Result<(), TraceError>> {
         let data = self.data.bytes();
-        self.metas.iter().map(|m| verify_trace(data, m)).collect()
+        let regions: Vec<&[u8]> = self
+            .metas
+            .iter()
+            .flat_map(|m| m.checksummed(data))
+            .collect();
+        let sums = fnv1a64_each(&regions);
+        self.metas
+            .iter()
+            .zip(sums.chunks_exact(CHECKSUMMED))
+            .map(|(m, sums)| verify_trace(data, m, sums))
+            .collect()
     }
 }
 
-/// Checksum + domain validation for one trace's columns and sidecar.
-fn verify_trace(data: &[u8], meta: &TraceMeta) -> Result<(), TraceError> {
-    for c in 0..4 {
-        let col = &data[meta.offsets[c]..meta.offsets[c] + meta.col_len(c)];
-        if fnv1a64(col) != meta.sums[c] {
+/// Checksum + domain validation for one trace's columns and sidecar,
+/// given the hashes of its [`TraceMeta::checksummed`] regions.
+fn verify_trace(data: &[u8], meta: &TraceMeta, sums: &[u64]) -> Result<(), TraceError> {
+    for ((got, want), column) in sums.iter().zip(meta.sums).zip(COLUMNS) {
+        if *got != want {
             return Err(TraceError::ChecksumMismatch {
                 trace: meta.name.clone(),
-                column: COLUMNS[c],
+                column,
             });
         }
     }
-    // sig_len == 0 entries never validated sig_off, so slice safely.
-    let sig = data
-        .get(meta.sig_off..meta.sig_off + meta.sig_len)
-        .unwrap_or(&[]);
-    if meta.sig_len > 0 && fnv1a64(sig) != meta.sig_sum {
+    if meta.sig_len > 0 && sums[4] != meta.sig_sum {
         return Err(TraceError::ChecksumMismatch {
             trace: meta.name.clone(),
             column: "signature",
         });
     }
-    let kind = &data[meta.offsets[2]..meta.offsets[2] + meta.n];
+    let kind = meta.column(data, 2);
     if let Some(i) = kind.iter().position(|&k| BranchKind::from_u8(k).is_none()) {
         return Err(TraceError::CorruptRecord {
             index: i as u64,
             reason: format!("invalid branch kind {} in trace `{}`", kind[i], meta.name),
         });
     }
-    let taken = &data[meta.offsets[3]..meta.offsets[3] + meta.n];
+    let taken = meta.column(data, 3);
     if let Some(i) = taken.iter().position(|&t| t > 1) {
         return Err(TraceError::CorruptRecord {
             index: i as u64,
@@ -683,11 +815,7 @@ impl CorpusTrace {
                 self.meta.name
             )));
         }
-        let data = self.data.bytes();
-        let sig = data
-            .get(self.meta.sig_off..self.meta.sig_off + self.meta.sig_len)
-            .unwrap_or(&[]);
-        TraceSignatures::from_bytes(sig)
+        TraceSignatures::from_bytes(self.meta.sidecar(self.data.bytes()))
     }
 
     /// Start a zero-allocation chunked decode pass over the records.
@@ -1358,6 +1486,87 @@ mod tests {
         let long = "x".repeat(usize::from(u16::MAX) + 1);
         let mut b = CorpusBuilder::new();
         assert!(b.push_trace(&long, 0, &[]).is_err());
+    }
+
+    proptest::proptest! {
+        /// The lockstep kernel equals `fnv1a64` slice by slice: any
+        /// number of slices (fewer or more than the lanes), empty ones,
+        /// unequal lengths and lengths that are not multiples of 8.
+        #[test]
+        fn lockstep_kernel_matches_fnv1a64_per_slice(
+            cols in proptest::collection::vec(
+                proptest::collection::vec(proptest::any::<u8>(), 0..300),
+                0..12,
+            ),
+        ) {
+            let slices: Vec<&[u8]> = cols.iter().map(Vec::as_slice).collect();
+            let want: Vec<u64> = slices.iter().map(|c| fnv1a64(c)).collect();
+            proptest::prop_assert_eq!(fnv1a64_each(&slices), want);
+        }
+    }
+
+    #[test]
+    fn lockstep_kernel_matches_fnv1a64_on_column_shapes() {
+        // One trace's regions (8n, 8n, n, n, sidecar) and two traces'
+        // worth, so lanes finish at different steps and pick up the
+        // next slice mid-pass.
+        let bytes: Vec<u8> = (0..4000u32).map(|i| (i * 131).to_le_bytes()[0]).collect();
+        for shape in [
+            vec![800, 800, 100, 100, 37],
+            vec![8, 8, 1, 1, 0, 0, 0, 0, 0, 0, 1608, 1608, 201, 201, 44],
+            vec![0, 0, 0],
+            vec![3],
+        ] {
+            let slices: Vec<&[u8]> = shape.iter().map(|&n| &bytes[..n]).collect();
+            let want: Vec<u64> = slices.iter().map(|c| fnv1a64(c)).collect();
+            assert_eq!(fnv1a64_each(&slices), want, "shape {shape:?}");
+        }
+    }
+
+    #[test]
+    fn verify_reports_the_first_bad_region_in_file_order() {
+        let bytes = build(&[("a", 0, sample(40)), ("b", 0, sample(40))]);
+        let corpus = Corpus::open_bytes(bytes.clone()).unwrap();
+        let region = |t: usize, c: usize| {
+            let m = &corpus.metas[t];
+            if c < 4 {
+                m.offsets[c]
+            } else {
+                m.sig_off
+            }
+        };
+        // (flips as (trace, region), expected trace and column).
+        let cases = [
+            (vec![(0, 1), (0, 2)], "a", "target"),
+            (vec![(1, 0), (0, 3)], "a", "taken"),
+            (vec![(0, 4), (1, 0)], "a", "signature"),
+            (vec![(1, 4), (1, 2)], "b", "kind"),
+        ];
+        for (flips, trace, column) in cases {
+            let mut bad = bytes.clone();
+            for (t, c) in flips {
+                bad[region(t, c)] ^= 0x80;
+            }
+            match Corpus::from_bytes(bad) {
+                Err(TraceError::ChecksumMismatch {
+                    trace: t,
+                    column: c,
+                }) => {
+                    assert_eq!((t.as_str(), c), (trace, column));
+                }
+                other => panic!("expected ChecksumMismatch, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn owned_buffer_is_shared_without_a_copy() {
+        let bytes = build(&[("t", 0, sample(10))]);
+        let ptr = bytes.as_ptr();
+        let corpus = Corpus::from_bytes(bytes).unwrap();
+        assert_eq!(corpus.data.bytes().as_ptr(), ptr);
+        let trace = corpus.get(0).unwrap();
+        assert_eq!(trace.data.bytes().as_ptr(), ptr);
     }
 
     #[test]

@@ -232,8 +232,10 @@ impl TraceSignatures {
             .checked_mul(dim as usize)
             .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| err("counts length overflows"))?;
-        let expect = SIG_HEADER_BYTES + table_len + counts_len;
-        if bytes.len() != expect {
+        let expect = table_len
+            .checked_add(counts_len)
+            .and_then(|n| n.checked_add(SIG_HEADER_BYTES));
+        if expect != Some(bytes.len()) {
             return Err(err("length does not match window geometry"));
         }
         let mut windows = Vec::with_capacity(nwin);
@@ -422,6 +424,27 @@ mod tests {
         let mut padded = bytes.clone();
         padded.push(0);
         assert!(TraceSignatures::from_bytes(&padded).is_err());
+    }
+
+    #[test]
+    fn lying_counts_are_rejected_without_overflow() {
+        // Window and dimension counts whose table plus counts length
+        // overflows usize once the header is added: an error, never an
+        // arithmetic panic or an allocation sized by the counts.
+        for (nwin, dim) in [
+            (u32::MAX, 0x4000_0000),
+            (u32::MAX, u32::MAX),
+            (1 << 31, 1 << 31),
+        ] {
+            let mut bytes = vec![0u8; SIG_HEADER_BYTES];
+            bytes[0] = 1; // base window
+            bytes[8..12].copy_from_slice(&dim.to_le_bytes());
+            bytes[12..16].copy_from_slice(&nwin.to_le_bytes());
+            assert!(
+                TraceSignatures::from_bytes(&bytes).is_err(),
+                "nwin {nwin} dim {dim}"
+            );
+        }
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Property-based equivalence between the two on-disk trace formats:
 //! the per-record `FETR` stream and the columnar `FESA` corpus must
 //! round-trip any record sequence bit-identically — to the original
-//! records and therefore to each other.
+//! records and therefore to each other. The corpus encoder must also
+//! write exactly the bytes of a plain one-`fnv1a64`-per-column encoder,
+//! so every corpus file written before the lockstep checksum kernel
+//! still loads.
 
 #![forbid(unsafe_code)]
 
-use fe_trace::corpus::{Corpus, CorpusBuilder};
+use fe_trace::corpus::{fnv1a64, Corpus, CorpusBuilder, MAGIC, VERSION};
 use fe_trace::io::{read_binary, write_binary};
+use fe_trace::signature::{compute_signatures, BASE_WINDOW_INSTRUCTIONS, SIGNATURE_DIM};
 use fe_trace::{BranchKind, BranchRecord};
 use proptest::prelude::*;
 
@@ -17,7 +21,130 @@ fn arb_record() -> impl Strategy<Value = BranchRecord> {
     })
 }
 
+/// One trace of a suite: name, instruction total, records.
+type SuiteTrace = (String, u64, Vec<BranchRecord>);
+
+/// A trace name of 0 to 40 characters, some of them multi-byte.
+fn arb_name() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0u8..30, 0..40).prop_map(|cs| {
+        cs.into_iter()
+            .map(|c| match c {
+                26 => 'é',
+                27 => '→',
+                28 => '-',
+                29 => '_',
+                _ => char::from(b'a' + c),
+            })
+            .collect()
+    })
+}
+
+/// A suite of 0 to 5 traces. Each trace is empty, a single record, or
+/// up to 300 records, with about equal odds.
+fn arb_suite() -> impl Strategy<Value = Vec<SuiteTrace>> {
+    let trace = (
+        arb_name(),
+        any::<u64>(),
+        0u8..3,
+        proptest::collection::vec(arb_record(), 1..300),
+    )
+        .prop_map(|(name, instructions, shape, mut records)| {
+            records.truncate(match shape {
+                0 => 0,
+                1 => 1,
+                _ => records.len(),
+            });
+            (name, instructions, records)
+        });
+    proptest::collection::vec(trace, 0..6)
+}
+
+/// The corpus encoder as it stood before the lockstep checksum kernel:
+/// per-column `fnv1a64`, every region copied in file order. A test
+/// oracle for the production [`CorpusBuilder::finish`].
+fn reference_encode(traces: &[SuiteTrace]) -> Vec<u8> {
+    let columns: Vec<[Vec<u8>; 4]> = traces
+        .iter()
+        .map(|(_, _, records)| {
+            let mut cols: [Vec<u8>; 4] = Default::default();
+            for r in records {
+                cols[0].extend_from_slice(&r.pc.to_le_bytes());
+                cols[1].extend_from_slice(&r.target.to_le_bytes());
+                cols[2].push(r.kind as u8);
+                cols[3].push(u8::from(r.taken));
+            }
+            cols
+        })
+        .collect();
+    let sigs: Vec<Vec<u8>> = traces
+        .iter()
+        .map(|(_, _, records)| {
+            compute_signatures(
+                records.iter().copied(),
+                BASE_WINDOW_INSTRUCTIONS,
+                SIGNATURE_DIM,
+            )
+            .to_bytes()
+        })
+        .collect();
+    let index_bytes: usize = traces.iter().map(|(name, _, _)| 2 + name.len() + 104).sum();
+    let data_bytes: usize = columns.iter().flatten().map(Vec::len).sum();
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(traces.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(index_bytes as u64).to_le_bytes());
+    let mut off = 24 + index_bytes;
+    let mut sig_off = off + data_bytes;
+    for (((name, instructions, records), cols), sig) in traces.iter().zip(&columns).zip(&sigs) {
+        let name_len = u16::try_from(name.len()).expect("test names are short");
+        out.extend_from_slice(&name_len.to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(&instructions.to_le_bytes());
+        out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for col in cols {
+            out.extend_from_slice(&(off as u64).to_le_bytes());
+            off += col.len();
+        }
+        for col in cols {
+            out.extend_from_slice(&fnv1a64(col).to_le_bytes());
+        }
+        out.extend_from_slice(&(sig_off as u64).to_le_bytes());
+        out.extend_from_slice(&(sig.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a64(sig).to_le_bytes());
+        sig_off += sig.len();
+    }
+    for col in columns.iter().flatten() {
+        out.extend_from_slice(col);
+    }
+    for sig in &sigs {
+        out.extend_from_slice(sig);
+    }
+    out
+}
+
 proptest! {
+    /// `CorpusBuilder::finish` writes exactly the reference encoder's
+    /// bytes — same index, same checksums, same layout — for suites with
+    /// empty traces, single-record traces and names of every length,
+    /// and the result loads and verifies.
+    #[test]
+    fn builder_matches_the_per_column_reference_encoder(suite in arb_suite()) {
+        let mut builder = CorpusBuilder::new();
+        for (name, instructions, records) in &suite {
+            builder.push_trace(name, *instructions, records).expect("push");
+        }
+        let bytes = builder.finish();
+        prop_assert_eq!(&bytes, &reference_encode(&suite));
+        let corpus = Corpus::from_bytes(bytes).expect("the encoded suite verifies");
+        prop_assert_eq!(corpus.len(), suite.len());
+        for (trace, (name, instructions, records)) in corpus.traces().iter().zip(&suite) {
+            prop_assert_eq!(trace.name(), name.as_str());
+            prop_assert_eq!(trace.instructions(), *instructions);
+            prop_assert_eq!(&trace.cursor().collect::<Vec<_>>(), records);
+        }
+    }
+
     /// FETR encode→decode and SoA encode→decode both reproduce the
     /// input records exactly, across chunk boundaries (the cursor
     /// refills every 256 records; sizes up to 2000 span several).
