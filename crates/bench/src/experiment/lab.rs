@@ -221,7 +221,8 @@ struct OracleDead {
     dead_bit: Vec<bool>,
 }
 
-// lint:allow(dispatch-drift): offline oracle replaying precomputed labels for the oracle_policy lab; deliberately not user-selectable via AnyPolicy
+// An offline oracle replaying precomputed labels for the oracle_policy
+// lab; deliberately not user-selectable, so it has no `AnyPolicy` variant.
 impl ReplacementPolicy for OracleDead {
     fn on_access(&mut self, _ctx: &AccessContext) {}
     fn on_hit(&mut self, way: usize, ctx: &AccessContext) {

@@ -6,7 +6,7 @@
 //! results ([`Experiment::render`]). The `report` driver collects the
 //! requirements of every requested experiment, deduplicates them through
 //! the planner ([`plan::SimStore`]), runs each unique simulation exactly
-//! once on the work-stealing scheduler, and then renders each experiment
+//! once on the shared-cursor scheduler, and then renders each experiment
 //! — so `report run --all` simulates the default suite once instead of
 //! once per figure.
 //!

@@ -43,7 +43,7 @@ pub struct SuiteResult {
     pub policies: Vec<PolicyKind>,
     /// One row per workload.
     pub rows: Vec<TraceRow>,
-    /// Scheduler observability for the run (worker utilization, steals).
+    /// Scheduler observability for the run (worker utilization, busy time).
     pub scheduler: SchedulerStats,
     /// Sampling observability when the suite ran phase-sampled
     /// ([`RunSpec::sampling`]); `None` for full replay.
@@ -475,7 +475,7 @@ mod tests {
         use proptest::prelude::*;
 
         /// Build a suite with `n` workloads; workload `heavy` (if any)
-        /// runs 10× longer than the rest — a steal-heavy skew.
+        /// runs 10× longer than the rest — a skewed grid.
         fn skewed_suite(n: usize, seed: u64, heavy: Option<usize>) -> Vec<WorkloadSpec> {
             suite(n, seed)
                 .into_iter()
@@ -490,7 +490,7 @@ mod tests {
         proptest! {
             /// The tentpole determinism claim: any thread count drains
             /// the flattened grid to bit-identical rows, including under
-            /// steal-heavy skew (one 10× workload). `skew >= n` means no
+            /// a skewed grid (one 10× workload). `skew >= n` means no
             /// skewed workload this case.
             #[test]
             fn suite_bit_identical_across_thread_counts(

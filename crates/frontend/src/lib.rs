@@ -22,7 +22,7 @@
 //! * [`experiment`] — suite results: the per-trace MPKI table reshaped
 //!   from a one-geometry run grid, with streaming trace replay so
 //!   paper-scale suites never materialize record vectors.
-//! * [`schedule`] — the dependency-free work-stealing scheduler that
+//! * [`schedule`] — the dependency-free shared-cursor scheduler that
 //!   drains the run driver's task grid, with per-worker lane arenas
 //!   reused across tasks.
 //! * [`sweep`] — cache-geometry sweeps (the paper's Figure 7): the

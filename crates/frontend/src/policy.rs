@@ -32,21 +32,44 @@ pub enum BasePolicy {
 }
 
 impl BasePolicy {
+    /// Every base policy, in declaration order.
+    pub(crate) const ALL: [BasePolicy; 9] = [
+        BasePolicy::Lru,
+        BasePolicy::Fifo,
+        BasePolicy::Random,
+        BasePolicy::Srrip,
+        BasePolicy::Drrip,
+        BasePolicy::Ship,
+        BasePolicy::CounterDbp,
+        BasePolicy::Sdbp,
+        BasePolicy::Ghrp,
+    ];
+
+    /// `(serialized, display, config spellings)`: the one place a base
+    /// policy is named. The serialized name is the derive-era variant
+    /// name that existing manifests and keys store; the first config
+    /// spelling is the display name in lower case.
+    const fn names(self) -> (&'static str, &'static str, &'static [&'static str]) {
+        match self {
+            BasePolicy::Lru => ("Lru", "LRU", &["lru"]),
+            BasePolicy::Fifo => ("Fifo", "FIFO", &["fifo"]),
+            BasePolicy::Random => ("Random", "Random", &["random", "rand"]),
+            BasePolicy::Srrip => ("Srrip", "SRRIP", &["srrip"]),
+            BasePolicy::Drrip => ("Drrip", "DRRIP", &["drrip"]),
+            BasePolicy::Ship => ("Ship", "SHiP", &["ship"]),
+            BasePolicy::CounterDbp => ("CounterDbp", "CounterDBP", &["counterdbp", "aip"]),
+            BasePolicy::Sdbp => ("Sdbp", "SDBP", &["sdbp"]),
+            BasePolicy::Ghrp => ("Ghrp", "GHRP", &["ghrp"]),
+        }
+    }
+
     /// Parse a candidate token (the same spellings the static policies
     /// use on experiment command lines).
     pub fn parse(s: &str) -> Option<BasePolicy> {
-        match s.to_ascii_lowercase().as_str() {
-            "lru" => Some(BasePolicy::Lru),
-            "fifo" => Some(BasePolicy::Fifo),
-            "random" | "rand" => Some(BasePolicy::Random),
-            "srrip" => Some(BasePolicy::Srrip),
-            "drrip" => Some(BasePolicy::Drrip),
-            "ship" => Some(BasePolicy::Ship),
-            "counterdbp" | "aip" => Some(BasePolicy::CounterDbp),
-            "sdbp" => Some(BasePolicy::Sdbp),
-            "ghrp" => Some(BasePolicy::Ghrp),
-            _ => None,
-        }
+        let lower = s.to_ascii_lowercase();
+        Self::ALL
+            .into_iter()
+            .find(|b| b.names().2.contains(&lower.as_str()))
     }
 
     /// The static [`PolicyKind`] this candidate corresponds to.
@@ -63,11 +86,76 @@ impl BasePolicy {
             BasePolicy::Ghrp => PolicyKind::Ghrp,
         }
     }
+
+    /// Build this policy's matched I-cache/BTB pair, plus the shared GHRP
+    /// handle for GHRP (the simulator uses it for commit-time history
+    /// retirement and misprediction recovery).
+    ///
+    /// The one construction site of every static policy (seeds, GHRP
+    /// wiring): static pairs and hybrid candidates both come from here,
+    /// which is what makes a one-candidate hybrid bit-identical to the
+    /// static policy (pinned by the engine equivalence proptests).
+    fn build(
+        self,
+        icache_cfg: CacheConfig,
+        btb_cfg: CacheConfig,
+        ghrp_cfg: GhrpConfig,
+        sdbp_cfg: SdbpConfig,
+        seed: u64,
+    ) -> (AnyPolicy, AnyPolicy, Option<SharedGhrp>) {
+        let (ipol, bpol) = match self {
+            BasePolicy::Lru => (
+                AnyPolicy::Lru(Lru::new(icache_cfg)),
+                AnyPolicy::Lru(Lru::new(btb_cfg)),
+            ),
+            BasePolicy::Fifo => (
+                AnyPolicy::Fifo(Fifo::new(icache_cfg)),
+                AnyPolicy::Fifo(Fifo::new(btb_cfg)),
+            ),
+            BasePolicy::Random => (
+                AnyPolicy::Random(RandomPolicy::new(icache_cfg, seed)),
+                AnyPolicy::Random(RandomPolicy::new(btb_cfg, seed ^ 0xB7B_5EED)),
+            ),
+            BasePolicy::Srrip => (
+                AnyPolicy::Srrip(Srrip::new(icache_cfg)),
+                AnyPolicy::Srrip(Srrip::new(btb_cfg)),
+            ),
+            BasePolicy::Drrip => (
+                AnyPolicy::Drrip(Drrip::new(icache_cfg)),
+                AnyPolicy::Drrip(Drrip::new(btb_cfg)),
+            ),
+            BasePolicy::Ship => (
+                AnyPolicy::Ship(ShipPolicy::new(icache_cfg, ShipConfig::default())),
+                AnyPolicy::Ship(ShipPolicy::new(btb_cfg, ShipConfig::default())),
+            ),
+            BasePolicy::CounterDbp => (
+                AnyPolicy::CounterDbp(CounterDbpPolicy::new(icache_cfg, 16 * 1024)),
+                AnyPolicy::CounterDbp(CounterDbpPolicy::new(btb_cfg, 16 * 1024)),
+            ),
+            BasePolicy::Sdbp => (
+                AnyPolicy::Sdbp(SdbpPolicy::new(icache_cfg, sdbp_cfg)),
+                AnyPolicy::Sdbp(SdbpPolicy::new(btb_cfg, sdbp_cfg)),
+            ),
+            BasePolicy::Ghrp => {
+                let shared = SharedGhrp::new(ghrp_cfg, icache_cfg);
+                return (
+                    AnyPolicy::Ghrp(GhrpPolicy::new(icache_cfg, shared.clone())),
+                    AnyPolicy::GhrpBtb(GhrpBtbPolicy::new(
+                        btb_cfg,
+                        shared.clone(),
+                        icache_cfg.block_bytes(),
+                    )),
+                    Some(shared),
+                );
+            }
+        };
+        (ipol, bpol, None)
+    }
 }
 
 impl std::fmt::Display for BasePolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.as_kind().fmt(f)
+        f.write_str(self.names().1)
     }
 }
 
@@ -169,6 +257,11 @@ impl PolicyKind {
         PolicyKind::Ghrp,
     ];
 
+    /// The static policy this kind names; `None` for OPT and the hybrids.
+    pub(crate) fn base(self) -> Option<BasePolicy> {
+        BasePolicy::ALL.into_iter().find(|b| b.as_kind() == self)
+    }
+
     /// Parse from the names used on experiment command lines.
     ///
     /// Besides the static spellings, two composite forms are accepted
@@ -203,19 +296,10 @@ impl PolicyKind {
             let spec = parse_candidate_list(list, window)?;
             return Some(PolicyKind::Phase(spec));
         }
-        match lower.as_str() {
-            "lru" => Some(PolicyKind::Lru),
-            "fifo" => Some(PolicyKind::Fifo),
-            "random" | "rand" => Some(PolicyKind::Random),
-            "srrip" => Some(PolicyKind::Srrip),
-            "drrip" => Some(PolicyKind::Drrip),
-            "ship" => Some(PolicyKind::Ship),
-            "counterdbp" | "aip" => Some(PolicyKind::CounterDbp),
-            "sdbp" => Some(PolicyKind::Sdbp),
-            "ghrp" => Some(PolicyKind::Ghrp),
-            "opt" | "belady" => Some(PolicyKind::Opt),
-            _ => None,
+        if OPT_SPELLINGS.contains(&lower.as_str()) {
+            return Some(PolicyKind::Opt);
         }
+        BasePolicy::parse(&lower).map(BasePolicy::as_kind)
     }
 
     /// A continuous set-dueling hybrid over `candidates`.
@@ -254,9 +338,14 @@ impl PolicyKind {
     /// One line per valid config-string spelling, for error messages
     /// (see `fe-sim --policy` and the experiment drivers).
     pub fn spellings_help() -> String {
+        let mut statics: Vec<String> = BasePolicy::ALL
+            .iter()
+            .map(|b| b.names().2.join("|"))
+            .collect();
+        statics.push(OPT_SPELLINGS.join("|"));
         let mut out = String::from("valid policies:\n");
         for line in [
-            "  lru fifo random|rand srrip drrip ship counterdbp|aip sdbp ghrp opt|belady",
+            &format!("  {}", statics.join(" ")),
             "  duel(p1,...,p4)              set-dueling hybrid, e.g. duel(ghrp,srrip,sdbp)",
             "  phase(p1,...,p4;window=N)    phase-adaptive hybrid, e.g. phase(ghrp,srrip;window=8192)",
             "                               (candidates: any spelling above except opt/belady)",
@@ -267,6 +356,9 @@ impl PolicyKind {
         out
     }
 }
+
+/// Config-string spellings of [`PolicyKind::Opt`].
+const OPT_SPELLINGS: [&str; 2] = ["opt", "belady"];
 
 /// `name(body)` → `body`, or `None` if `s` is not that call form.
 fn strip_call<'a>(s: &'a str, name: &str) -> Option<&'a str> {
@@ -288,18 +380,10 @@ impl Serialize for PolicyKind {
         // ...) so existing manifests and keys stay byte-stable;
         // composites serialize as their canonical config string, which
         // `parse` round-trips.
-        let s = match self {
-            PolicyKind::Lru => "Lru".to_owned(),
-            PolicyKind::Fifo => "Fifo".to_owned(),
-            PolicyKind::Random => "Random".to_owned(),
-            PolicyKind::Srrip => "Srrip".to_owned(),
-            PolicyKind::Drrip => "Drrip".to_owned(),
-            PolicyKind::Ship => "Ship".to_owned(),
-            PolicyKind::CounterDbp => "CounterDbp".to_owned(),
-            PolicyKind::Sdbp => "Sdbp".to_owned(),
-            PolicyKind::Ghrp => "Ghrp".to_owned(),
-            PolicyKind::Opt => "Opt".to_owned(),
-            PolicyKind::Duel(_) | PolicyKind::Phase(_) => self.to_string().to_ascii_lowercase(),
+        let s = match (self, self.base()) {
+            (_, Some(base)) => base.names().0.to_owned(),
+            (PolicyKind::Opt, None) => "Opt".to_owned(),
+            _ => self.to_string().to_ascii_lowercase(),
         };
         Value::Str(s)
     }
@@ -313,17 +397,11 @@ impl Deserialize for PolicyKind {
         // Derive-era variant names first (exact), then the config-string
         // grammar (case-insensitive, covers composites).
         let unit = match s.as_str() {
-            "Lru" => Some(PolicyKind::Lru),
-            "Fifo" => Some(PolicyKind::Fifo),
-            "Random" => Some(PolicyKind::Random),
-            "Srrip" => Some(PolicyKind::Srrip),
-            "Drrip" => Some(PolicyKind::Drrip),
-            "Ship" => Some(PolicyKind::Ship),
-            "CounterDbp" => Some(PolicyKind::CounterDbp),
-            "Sdbp" => Some(PolicyKind::Sdbp),
-            "Ghrp" => Some(PolicyKind::Ghrp),
             "Opt" => Some(PolicyKind::Opt),
-            _ => None,
+            s => BasePolicy::ALL
+                .into_iter()
+                .find(|b| b.names().0 == s)
+                .map(BasePolicy::as_kind),
         };
         unit.or_else(|| PolicyKind::parse(s))
             .ok_or_else(|| DeError::new(format!("unknown policy string `{s}`")))
@@ -332,30 +410,17 @@ impl Deserialize for PolicyKind {
 
 impl std::fmt::Display for PolicyKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            PolicyKind::Lru => "LRU",
-            PolicyKind::Fifo => "FIFO",
-            PolicyKind::Random => "Random",
-            PolicyKind::Srrip => "SRRIP",
-            PolicyKind::Drrip => "DRRIP",
-            PolicyKind::Ship => "SHiP",
-            PolicyKind::CounterDbp => "CounterDBP",
-            PolicyKind::Sdbp => "SDBP",
-            PolicyKind::Ghrp => "GHRP",
-            PolicyKind::Opt => "OPT",
-            PolicyKind::Duel(spec) => {
-                return write!(f, "Duel({})", join_candidates(spec));
-            }
-            PolicyKind::Phase(spec) => {
-                return write!(
-                    f,
-                    "Phase({};window={})",
-                    join_candidates(spec),
-                    spec.window()
-                );
-            }
-        };
-        f.write_str(s)
+        match (self, self.base()) {
+            (_, Some(base)) => base.fmt(f),
+            (PolicyKind::Duel(spec), None) => write!(f, "Duel({})", join_candidates(spec)),
+            (PolicyKind::Phase(spec), None) => write!(
+                f,
+                "Phase({};window={})",
+                join_candidates(spec),
+                spec.window()
+            ),
+            _ => f.write_str("OPT"),
+        }
     }
 }
 
@@ -372,6 +437,9 @@ fn join_candidates(spec: &HybridSpec) -> String {
 /// discriminant that the optimizer can inline through) instead of
 /// `Box<dyn ReplacementPolicy>`, whose indirect calls defeat cross-crate
 /// inlining on the hottest loop in the workspace.
+///
+/// The hybrids carry their candidates as `AnyPolicy`s; the `Vec` inside
+/// [`DuelSelect`] breaks the type recursion.
 #[allow(missing_docs, clippy::large_enum_variant)] // variants mirror PolicyKind; lanes are few
 pub enum AnyPolicy {
     Lru(Lru),
@@ -385,8 +453,11 @@ pub enum AnyPolicy {
     Ghrp(GhrpPolicy),
     GhrpBtb(GhrpBtbPolicy),
     Opt(BeladyOpt),
-    Duel(DuelPolicy),
-    Phase(PhasePolicy),
+    /// Continuous set-dueling (`PolicyKind::Duel`).
+    Duel(DuelSelect<AnyPolicy>),
+    /// Phase-adaptive set-dueling (`PolicyKind::Phase`): the same runtime
+    /// shape with a windowed re-decision cadence.
+    Phase(DuelSelect<AnyPolicy>),
 }
 
 macro_rules! dispatch {
@@ -403,8 +474,7 @@ macro_rules! dispatch {
             AnyPolicy::Ghrp($p) => $body,
             AnyPolicy::GhrpBtb($p) => $body,
             AnyPolicy::Opt($p) => $body,
-            AnyPolicy::Duel($p) => $body,
-            AnyPolicy::Phase($p) => $body,
+            AnyPolicy::Duel($p) | AnyPolicy::Phase($p) => $body,
         }
     };
 }
@@ -417,77 +487,9 @@ impl AnyPolicy {
     /// rebuild. Lane arenas call this so arena reuse order can never
     /// show through in results.
     pub fn cold_restart(&mut self) {
-        match self {
-            AnyPolicy::Duel(p) => p.0.cold_restart(),
-            AnyPolicy::Phase(p) => p.0.cold_restart(),
-            _ => {}
+        if let AnyPolicy::Duel(p) | AnyPolicy::Phase(p) = self {
+            p.cold_restart();
         }
-    }
-}
-
-/// Continuous set-dueling over [`AnyPolicy`] candidates, as a concrete
-/// type so [`AnyPolicy`] can carry it (the `Vec` inside [`DuelSelect`]
-/// breaks the type recursion) and the dispatch-drift lint can account
-/// for it.
-pub struct DuelPolicy(pub DuelSelect<AnyPolicy>);
-
-/// Phase-adaptive set-dueling over [`AnyPolicy`] candidates; the same
-/// runtime shape as [`DuelPolicy`] with a windowed re-decision cadence,
-/// kept as its own type so the two selection modes stay distinguishable
-/// end to end (config grammar → `PolicyKind` → dispatch).
-pub struct PhasePolicy(pub DuelSelect<AnyPolicy>);
-
-impl ReplacementPolicy for DuelPolicy {
-    fn on_access(&mut self, ctx: &AccessContext) {
-        self.0.on_access(ctx);
-    }
-    fn on_hit(&mut self, way: usize, ctx: &AccessContext) {
-        self.0.on_hit(way, ctx);
-    }
-    fn should_bypass(&mut self, ctx: &AccessContext) -> bool {
-        self.0.should_bypass(ctx)
-    }
-    fn choose_victim(&mut self, ctx: &AccessContext) -> usize {
-        self.0.choose_victim(ctx)
-    }
-    fn on_evict(&mut self, way: usize, victim_block: u64, ctx: &AccessContext) {
-        self.0.on_evict(way, victim_block, ctx);
-    }
-    fn on_fill(&mut self, way: usize, ctx: &AccessContext) {
-        self.0.on_fill(way, ctx);
-    }
-    fn reset(&mut self) {
-        self.0.reset();
-    }
-    fn name(&self) -> String {
-        self.0.name()
-    }
-}
-
-impl ReplacementPolicy for PhasePolicy {
-    fn on_access(&mut self, ctx: &AccessContext) {
-        self.0.on_access(ctx);
-    }
-    fn on_hit(&mut self, way: usize, ctx: &AccessContext) {
-        self.0.on_hit(way, ctx);
-    }
-    fn should_bypass(&mut self, ctx: &AccessContext) -> bool {
-        self.0.should_bypass(ctx)
-    }
-    fn choose_victim(&mut self, ctx: &AccessContext) -> usize {
-        self.0.choose_victim(ctx)
-    }
-    fn on_evict(&mut self, way: usize, victim_block: u64, ctx: &AccessContext) {
-        self.0.on_evict(way, victim_block, ctx);
-    }
-    fn on_fill(&mut self, way: usize, ctx: &AccessContext) {
-        self.0.on_fill(way, ctx);
-    }
-    fn reset(&mut self) {
-        self.0.reset();
-    }
-    fn name(&self) -> String {
-        self.0.name()
     }
 }
 
@@ -614,9 +616,9 @@ pub fn build_pair(
     .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Build the I-cache/BTB pair for `kind`: the one construction site of
-/// every policy pair (seeds, GHRP wiring), which [`build_pair`] and the
-/// engine's lanes both go through.
+/// Build the I-cache/BTB pair for `kind`: the entry point [`build_pair`]
+/// and the engine's lanes both go through. Static policies and hybrid
+/// candidates are built by one constructor per [`BasePolicy`].
 ///
 /// `icache_opt_blocks` / `btb_opt_pcs` supply the offline access sequences
 /// and are required only for [`PolicyKind::Opt`].
@@ -638,60 +640,33 @@ pub fn try_build_pair(
     btb_opt_pcs: Option<&[u64]>,
 ) -> Result<FrontendPair, BuildError> {
     let btb_cfg = btb_geometry(btb_entries, btb_ways)?;
-    let (ipol, bpol, ghrp): (AnyPolicy, AnyPolicy, Option<SharedGhrp>) = match kind {
-        PolicyKind::Lru => (
-            AnyPolicy::Lru(Lru::new(icache_cfg)),
-            AnyPolicy::Lru(Lru::new(btb_cfg)),
-            None,
-        ),
-        PolicyKind::Fifo => (
-            AnyPolicy::Fifo(Fifo::new(icache_cfg)),
-            AnyPolicy::Fifo(Fifo::new(btb_cfg)),
-            None,
-        ),
-        PolicyKind::Random => (
-            AnyPolicy::Random(RandomPolicy::new(icache_cfg, seed)),
-            AnyPolicy::Random(RandomPolicy::new(btb_cfg, seed ^ 0xB7B_5EED)),
-            None,
-        ),
-        PolicyKind::Srrip => (
-            AnyPolicy::Srrip(Srrip::new(icache_cfg)),
-            AnyPolicy::Srrip(Srrip::new(btb_cfg)),
-            None,
-        ),
-        PolicyKind::Drrip => (
-            AnyPolicy::Drrip(Drrip::new(icache_cfg)),
-            AnyPolicy::Drrip(Drrip::new(btb_cfg)),
-            None,
-        ),
-        PolicyKind::Ship => (
-            AnyPolicy::Ship(ShipPolicy::new(icache_cfg, ShipConfig::default())),
-            AnyPolicy::Ship(ShipPolicy::new(btb_cfg, ShipConfig::default())),
-            None,
-        ),
-        PolicyKind::CounterDbp => (
-            AnyPolicy::CounterDbp(CounterDbpPolicy::new(icache_cfg, 16 * 1024)),
-            AnyPolicy::CounterDbp(CounterDbpPolicy::new(btb_cfg, 16 * 1024)),
-            None,
-        ),
-        PolicyKind::Sdbp => (
-            AnyPolicy::Sdbp(SdbpPolicy::new(icache_cfg, sdbp_cfg)),
-            AnyPolicy::Sdbp(SdbpPolicy::new(btb_cfg, sdbp_cfg)),
-            None,
-        ),
-        PolicyKind::Ghrp => {
-            let shared = SharedGhrp::new(ghrp_cfg, icache_cfg);
+    let hybrid =
+        |duel: DuelConfig, spec: &HybridSpec, wrap: fn(DuelSelect<AnyPolicy>) -> AnyPolicy| {
+            let (mut icache, mut btb, mut ghrp) = (Vec::new(), Vec::new(), None);
+            for c in spec.candidates() {
+                let (ipol, bpol, shared) = c.build(icache_cfg, btb_cfg, ghrp_cfg, sdbp_cfg, seed);
+                icache.push(ipol);
+                btb.push(bpol);
+                // The first GHRP candidate's predictor is the one the
+                // simulator retires history into.
+                ghrp = ghrp.or(shared);
+            }
             (
-                AnyPolicy::Ghrp(GhrpPolicy::new(icache_cfg, shared.clone())),
-                AnyPolicy::GhrpBtb(GhrpBtbPolicy::new(
-                    btb_cfg,
-                    shared.clone(),
-                    icache_cfg.block_bytes(),
-                )),
-                Some(shared),
+                wrap(DuelSelect::new(icache_cfg, duel, icache)),
+                wrap(DuelSelect::new(btb_cfg, duel, btb)),
+                ghrp,
             )
-        }
-        PolicyKind::Opt => {
+        };
+    let (ipol, bpol, ghrp) = match (kind, kind.base()) {
+        (_, Some(base)) => base.build(icache_cfg, btb_cfg, ghrp_cfg, sdbp_cfg, seed),
+        (PolicyKind::Duel(spec), None) => hybrid(DuelConfig::continuous(), &spec, AnyPolicy::Duel),
+        (PolicyKind::Phase(spec), None) => hybrid(
+            DuelConfig::phase_adaptive(spec.window()),
+            &spec,
+            AnyPolicy::Phase,
+        ),
+        // OPT: the one kind that is neither static nor a hybrid.
+        _ => {
             let (Some(blocks), Some(pcs)) = (icache_opt_blocks, btb_opt_pcs) else {
                 return Err(BuildError::MissingOfflineSequences);
             };
@@ -699,26 +674,6 @@ pub fn try_build_pair(
                 AnyPolicy::Opt(BeladyOpt::from_trace(icache_cfg, blocks)),
                 AnyPolicy::Opt(BeladyOpt::from_trace(btb_cfg, pcs)),
                 None,
-            )
-        }
-        PolicyKind::Duel(spec) => {
-            let duel = DuelConfig::continuous();
-            let (ic, bc, shared) =
-                hybrid_candidates(&spec, icache_cfg, btb_cfg, ghrp_cfg, sdbp_cfg, seed);
-            (
-                AnyPolicy::Duel(DuelPolicy(DuelSelect::new(icache_cfg, duel, ic))),
-                AnyPolicy::Duel(DuelPolicy(DuelSelect::new(btb_cfg, duel, bc))),
-                shared,
-            )
-        }
-        PolicyKind::Phase(spec) => {
-            let duel = DuelConfig::phase_adaptive(spec.window());
-            let (ic, bc, shared) =
-                hybrid_candidates(&spec, icache_cfg, btb_cfg, ghrp_cfg, sdbp_cfg, seed);
-            (
-                AnyPolicy::Phase(PhasePolicy(DuelSelect::new(icache_cfg, duel, ic))),
-                AnyPolicy::Phase(PhasePolicy(DuelSelect::new(btb_cfg, duel, bc))),
-                shared,
             )
         }
     };
@@ -729,85 +684,78 @@ pub fn try_build_pair(
     })
 }
 
-/// Build the matched I-cache/BTB candidate lists of a hybrid.
-///
-/// Each candidate is constructed exactly as its static `build_pair` arm
-/// would build it (same seeds, same shared-GHRP wiring), which is what
-/// makes the single-candidate hybrid bit-identical to the static policy
-/// (pinned by the engine equivalence proptests). A GHRP candidate's
-/// shared predictor is returned so the simulator can retire history
-/// into it, just like the static GHRP pair.
-fn hybrid_candidates(
-    spec: &HybridSpec,
-    icache_cfg: CacheConfig,
-    btb_cfg: CacheConfig,
-    ghrp_cfg: GhrpConfig,
-    sdbp_cfg: SdbpConfig,
-    seed: u64,
-) -> (Vec<AnyPolicy>, Vec<AnyPolicy>, Option<SharedGhrp>) {
-    let mut ghrp = None;
-    let mut icache = Vec::with_capacity(spec.candidates().len());
-    let mut btb = Vec::with_capacity(spec.candidates().len());
-    for c in spec.candidates() {
-        let (ipol, bpol) = match c {
-            BasePolicy::Lru => (
-                AnyPolicy::Lru(Lru::new(icache_cfg)),
-                AnyPolicy::Lru(Lru::new(btb_cfg)),
-            ),
-            BasePolicy::Fifo => (
-                AnyPolicy::Fifo(Fifo::new(icache_cfg)),
-                AnyPolicy::Fifo(Fifo::new(btb_cfg)),
-            ),
-            BasePolicy::Random => (
-                AnyPolicy::Random(RandomPolicy::new(icache_cfg, seed)),
-                AnyPolicy::Random(RandomPolicy::new(btb_cfg, seed ^ 0xB7B_5EED)),
-            ),
-            BasePolicy::Srrip => (
-                AnyPolicy::Srrip(Srrip::new(icache_cfg)),
-                AnyPolicy::Srrip(Srrip::new(btb_cfg)),
-            ),
-            BasePolicy::Drrip => (
-                AnyPolicy::Drrip(Drrip::new(icache_cfg)),
-                AnyPolicy::Drrip(Drrip::new(btb_cfg)),
-            ),
-            BasePolicy::Ship => (
-                AnyPolicy::Ship(ShipPolicy::new(icache_cfg, ShipConfig::default())),
-                AnyPolicy::Ship(ShipPolicy::new(btb_cfg, ShipConfig::default())),
-            ),
-            BasePolicy::CounterDbp => (
-                AnyPolicy::CounterDbp(CounterDbpPolicy::new(icache_cfg, 16 * 1024)),
-                AnyPolicy::CounterDbp(CounterDbpPolicy::new(btb_cfg, 16 * 1024)),
-            ),
-            BasePolicy::Sdbp => (
-                AnyPolicy::Sdbp(SdbpPolicy::new(icache_cfg, sdbp_cfg)),
-                AnyPolicy::Sdbp(SdbpPolicy::new(btb_cfg, sdbp_cfg)),
-            ),
-            BasePolicy::Ghrp => {
-                let shared = SharedGhrp::new(ghrp_cfg, icache_cfg);
-                let pair = (
-                    AnyPolicy::Ghrp(GhrpPolicy::new(icache_cfg, shared.clone())),
-                    AnyPolicy::GhrpBtb(GhrpBtbPolicy::new(
-                        btb_cfg,
-                        shared.clone(),
-                        icache_cfg.block_bytes(),
-                    )),
-                );
-                ghrp.get_or_insert(shared);
-                pair
-            }
-        };
-        icache.push(ipol);
-        btb.push(bpol);
-    }
-    (icache, btb, ghrp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn cfg() -> CacheConfig {
         CacheConfig::with_capacity(16 * 1024, 8, 64).unwrap()
+    }
+
+    /// Every kind the grammar can name: each base policy, OPT, and a
+    /// `duel` and a `phase` over each base.
+    fn every_kind() -> Vec<PolicyKind> {
+        let mut kinds = vec![PolicyKind::Opt];
+        for b in BasePolicy::ALL {
+            kinds.push(b.as_kind());
+            kinds.push(PolicyKind::duel(&[b]));
+            kinds.push(PolicyKind::phase(&[b], 4096));
+        }
+        kinds
+    }
+
+    /// The index of `p`'s variant. The match is exhaustive, so a new
+    /// `AnyPolicy` variant does not compile until it is listed here, and
+    /// the test below then fails until some kind builds it.
+    fn variant_index(p: &AnyPolicy) -> usize {
+        match p {
+            AnyPolicy::Lru(_) => 0,
+            AnyPolicy::Fifo(_) => 1,
+            AnyPolicy::Random(_) => 2,
+            AnyPolicy::Srrip(_) => 3,
+            AnyPolicy::Drrip(_) => 4,
+            AnyPolicy::Ship(_) => 5,
+            AnyPolicy::CounterDbp(_) => 6,
+            AnyPolicy::Sdbp(_) => 7,
+            AnyPolicy::Ghrp(_) => 8,
+            AnyPolicy::GhrpBtb(_) => 9,
+            AnyPolicy::Opt(_) => 10,
+            AnyPolicy::Duel(_) => 11,
+            AnyPolicy::Phase(_) => 12,
+        }
+    }
+
+    #[test]
+    fn every_kind_builds_every_variant_and_round_trips() {
+        use serde::{Deserialize as _, Serialize as _};
+        let blocks = [0x1000_u64, 0x1040, 0x1000];
+        let pcs = [0x1004_u64, 0x2008, 0x1004];
+        let mut built = [false; 13];
+        for k in every_kind() {
+            let pair = try_build_pair(
+                k,
+                cfg(),
+                1024,
+                4,
+                GhrpConfig::default(),
+                SdbpConfig::default(),
+                7,
+                Some(&blocks),
+                Some(&pcs),
+            )
+            .unwrap_or_else(|e| panic!("{k}: {e}"));
+            built[variant_index(pair.icache.policy())] = true;
+            built[variant_index(pair.btb.entries().policy())] = true;
+            assert_eq!(PolicyKind::parse(&k.to_string()), Some(k), "{k}");
+            assert_eq!(PolicyKind::from_value(&k.to_value()).unwrap(), k, "{k}");
+        }
+        let bases: Vec<PolicyKind> = BasePolicy::ALL.map(BasePolicy::as_kind).to_vec();
+        assert_eq!(bases, PolicyKind::ALL_ONLINE);
+        let missing: Vec<usize> = (0..built.len()).filter(|&i| !built[i]).collect();
+        assert!(
+            missing.is_empty(),
+            "AnyPolicy variants never built: {missing:?}"
+        );
     }
 
     #[test]
@@ -872,7 +820,12 @@ mod tests {
     #[test]
     fn spellings_help_names_every_grammar_form() {
         let help = PolicyKind::spellings_help();
-        for needle in ["lru", "ghrp", "opt|belady", "duel(", "phase(", "window=N"] {
+        for needle in [
+            "  lru fifo random|rand srrip drrip ship counterdbp|aip sdbp ghrp opt|belady\n",
+            "duel(",
+            "phase(",
+            "window=N",
+        ] {
             assert!(help.contains(needle), "help is missing `{needle}`:\n{help}");
         }
     }
@@ -957,15 +910,15 @@ mod tests {
             panic!("expected a duel policy");
         };
         assert!(
-            d.0.psel_tallies().iter().any(|&t| t > 0),
+            d.psel_tallies().iter().any(|&t| t > 0),
             "reset alone must keep the sticky PSEL tallies"
         );
         pair.icache.policy_mut().cold_restart();
         let AnyPolicy::Duel(d) = pair.icache.policy() else {
             panic!("expected a duel policy");
         };
-        assert!(d.0.psel_tallies().iter().all(|&t| t == 0));
-        assert_eq!(d.0.current_winner(), 0);
+        assert!(d.psel_tallies().iter().all(|&t| t == 0));
+        assert_eq!(d.current_winner(), 0);
     }
 
     #[test]

@@ -1,22 +1,21 @@
-//! Dependency-free work-stealing scheduler for the run driver's task grid.
+//! Dependency-free scheduler for the run driver's task grid.
 //!
 //! [`crate::engine::RunSpec::run`] flattens every suite, sweep and sampled
 //! run into a grid of independent tasks (lane part × trace) and drains it
-//! through [`run_grid`]. Three strategies cover the grid shapes that occur
-//! in practice:
+//! through [`run_grid`]. Two strategies cover every grid:
 //!
 //! * **Inline** — one worker (or ≤ 1 task): no threads are spawned at all.
-//! * **Shared index** — small grids (fewer than two tasks per worker):
-//!   a single shared atomic cursor; every claim is one `fetch_add`, and
-//!   load balance is perfect because there is no ownership to rebalance.
-//! * **Work stealing** — larger grids: each worker starts with a
-//!   contiguous range of task indices packed into one `AtomicU64`
-//!   (`head << 32 | tail`). The owner pops from the head; an idle worker
-//!   CASes the *back half* off a victim's range — the tasks the owner
-//!   would reach last — and publishes the stolen range as its own. Ranges
-//!   only ever split and shrink, and every index is claimed exactly once,
-//!   so a packed value can never recur (no ABA) and an all-empty scan is a
-//!   safe exit condition.
+//! * **Shared index** — two or more workers: one shared atomic cursor;
+//!   every claim is one `fetch_add(Relaxed)`. Load balance is as good as
+//!   a task's length allows, because there is no ownership to rebalance:
+//!   a worker held by one long task simply claims nothing more while the
+//!   others drain the rest. The `Relaxed` ordering suffices because each
+//!   index is claimed exactly once and results travel back through the
+//!   worker's join, which synchronizes.
+//!
+//! There is no work stealing: at the grid sizes the experiments run
+//! (4–64 tasks on 2 workers) it measured no resolvable gain over the
+//! shared cursor (DESIGN §10).
 //!
 //! Determinism: the scheduler decides only *where* a task runs, never what
 //! it computes. Each task's result is written back to its own slot of the
@@ -25,16 +24,11 @@
 //!
 //! [`run_tasks`] drains a grid the same way but reads no clock and returns
 //! no counters, for callers whose output must not depend on host time.
-//!
-//! Contiguous initial ranges also give per-worker state (the engine's
-//! lane arena) the best possible reuse locality: a
-//! worker's consecutive tasks usually share a configuration, so lane
-//! allocations reset in place instead of being rebuilt.
 
 #![forbid(unsafe_code)]
 
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Resolve a user-facing thread count: `0` means "use every available
@@ -53,19 +47,15 @@ pub enum Strategy {
     /// Single worker, no threads spawned.
     #[default]
     Inline,
-    /// Shared atomic-cursor queue (small grids).
+    /// Shared atomic-cursor queue.
     SharedIndex,
-    /// Per-worker deques with back-half stealing.
-    Stealing,
 }
 
 /// Per-worker counters from one grid drain.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WorkerStats {
-    /// Tasks this worker executed (its own plus any it stole).
+    /// Tasks this worker executed.
     pub tasks: u64,
-    /// Successful steals this worker performed.
-    pub steals: u64,
     /// Nanoseconds spent inside task bodies (excludes idle spinning).
     pub busy_ns: u64,
 }
@@ -79,7 +69,8 @@ pub struct SchedulerStats {
     pub workers: usize,
     /// Total tasks in the grid.
     pub tasks: u64,
-    /// Total successful steals across all workers.
+    /// Always 0: the scheduler no longer steals. Kept so reports that
+    /// read it stay stable.
     pub steals: u64,
     /// Wall-clock nanoseconds for the whole drain.
     pub wall_ns: u64,
@@ -109,84 +100,13 @@ impl SchedulerStats {
     }
 }
 
-/// Grids are bounded so a task index always fits the 32-bit halves of a
-/// packed range. Suite/sweep grids are orders of magnitude smaller.
-const MAX_TASKS: u64 = (1 << 32) - 1;
-
 fn to_u64(x: usize) -> u64 {
-    // Infallible on every supported target (usize ≤ 64 bits); the
-    // fallback is never reached once `run_grid` has validated the grid.
-    u64::try_from(x).unwrap_or(MAX_TASKS)
-}
-
-fn to_index(x: u64) -> usize {
-    usize::try_from(x).unwrap_or(usize::MAX)
+    // Infallible on every supported target (usize ≤ 64 bits).
+    u64::try_from(x).unwrap_or(u64::MAX)
 }
 
 fn to_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Pack a `head..tail` task-index range into one atomic word.
-fn pack(head: u64, tail: u64) -> u64 {
-    debug_assert!(head <= MAX_TASKS && tail <= MAX_TASKS && head <= tail);
-    (head << 32) | tail
-}
-
-fn unpack(v: u64) -> (u64, u64) {
-    (v >> 32, v & MAX_TASKS)
-}
-
-/// Owner/thief pop from the front of a packed range.
-fn pop_front(range: &AtomicU64) -> Option<u64> {
-    let mut v = range.load(Ordering::Acquire);
-    loop {
-        let (head, tail) = unpack(v);
-        if head >= tail {
-            return None;
-        }
-        match range.compare_exchange_weak(
-            v,
-            pack(head + 1, tail),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => return Some(head),
-            Err(cur) => v = cur,
-        }
-    }
-}
-
-/// Steal the back half of `victim`'s range and publish it as `me`'s.
-///
-/// Only called when `me` is empty, so the plain `store` cannot race a
-/// concurrent claim on `me` (thieves never CAS an empty range, and a CAS
-/// armed with a stale non-empty value fails by value inequality — exact
-/// range values never recur because every task index is claimed once).
-fn try_steal(victim: &AtomicU64, me: &AtomicU64) -> bool {
-    let mut v = victim.load(Ordering::Acquire);
-    loop {
-        let (head, tail) = unpack(v);
-        let len = tail.saturating_sub(head);
-        if len == 0 {
-            return false;
-        }
-        // Ceil-half keeps a lone straggler task stealable, which is what
-        // rebalances a heavily skewed grid (one 10× workload).
-        let take = len.div_ceil(2);
-        match victim.compare_exchange_weak(
-            v,
-            pack(head, tail - take),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => {
-                me.store(pack(tail - take, tail), Ordering::Release);
-                return true;
-            }
-            Err(cur) => v = cur,
-        }
-    }
 }
 
 /// Execute `tasks` independent tasks on `workers` OS threads and return
@@ -199,8 +119,7 @@ fn try_steal(victim: &AtomicU64, me: &AtomicU64) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if `tasks` exceeds the 32-bit grid bound, or propagates the
-/// first worker panic.
+/// Propagates the first worker panic.
 pub fn run_grid<C, R, F, G>(
     tasks: usize,
     workers: usize,
@@ -228,7 +147,7 @@ where
         strategy,
         workers: per_worker.len(),
         tasks: to_u64(tasks),
-        steals: per_worker.iter().map(|w| w.steals).sum(),
+        steals: 0,
         wall_ns: to_nanos(start.elapsed()),
         per_worker,
     };
@@ -241,8 +160,7 @@ where
 ///
 /// # Panics
 ///
-/// Panics if `tasks` exceeds the 32-bit grid bound, or propagates the
-/// first worker panic.
+/// Propagates the first worker panic.
 pub fn run_tasks<C, R, F, G>(tasks: usize, workers: usize, mk_ctx: F, run: G) -> Vec<R>
 where
     R: Send,
@@ -254,7 +172,7 @@ where
 }
 
 /// Drain the grid with the strategy its shape calls for, returning each
-/// worker's `(task, result)` pairs and its task and steal counts.
+/// worker's `(task, result)` pairs and its task count.
 fn drain<C, R, F, G>(
     tasks: usize,
     workers: usize,
@@ -266,10 +184,6 @@ where
     F: Fn(usize) -> C + Sync,
     G: Fn(&mut C, usize) -> R + Sync,
 {
-    assert!(
-        to_u64(tasks) < MAX_TASKS,
-        "task grid exceeds the 32-bit bound"
-    );
     let workers = workers.max(1).min(tasks.max(1));
     if workers == 1 || tasks <= 1 {
         let mut ctx = mk_ctx(0);
@@ -279,15 +193,10 @@ where
             ..WorkerStats::default()
         };
         (Strategy::Inline, vec![(results, stats)])
-    } else if tasks < 2 * workers {
+    } else {
         (
             Strategy::SharedIndex,
             drain_shared(tasks, workers, mk_ctx, run),
-        )
-    } else {
-        (
-            Strategy::Stealing,
-            drain_stealing(tasks, workers, mk_ctx, run),
         )
     }
 }
@@ -321,7 +230,8 @@ fn join_all<R>(handles: Vec<std::thread::ScopedJoinHandle<'_, WorkerOut<R>>>) ->
         .collect()
 }
 
-/// Small grids: one shared atomic cursor, one `fetch_add` per claim.
+/// Two or more workers: one shared atomic cursor, one `fetch_add` per
+/// claim.
 fn drain_shared<C, R, F, G>(tasks: usize, workers: usize, mk_ctx: &F, run: &G) -> Vec<WorkerOut<R>>
 where
     R: Send,
@@ -353,87 +263,24 @@ where
     })
 }
 
-/// Larger grids: per-worker packed ranges with back-half stealing.
-fn drain_stealing<C, R, F, G>(
-    tasks: usize,
-    workers: usize,
-    mk_ctx: &F,
-    run: &G,
-) -> Vec<WorkerOut<R>>
-where
-    R: Send,
-    F: Fn(usize) -> C + Sync,
-    G: Fn(&mut C, usize) -> R + Sync,
-{
-    // Contiguous initial ranges: worker w owns [w·T/n, (w+1)·T/n).
-    let ranges: Vec<AtomicU64> = (0..workers)
-        .map(|w| {
-            let lo = to_u64(w * tasks / workers);
-            let hi = to_u64((w + 1) * tasks / workers);
-            AtomicU64::new(pack(lo, hi))
-        })
-        .collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let ranges = &ranges;
-                scope.spawn(move || {
-                    let n = ranges.len();
-                    let mut ctx = mk_ctx(w);
-                    let mut results = Vec::new();
-                    let mut stats = WorkerStats::default();
-                    'drain: loop {
-                        while let Some(t) = pop_front(&ranges[w]) {
-                            let i = to_index(t);
-                            results.push((i, run(&mut ctx, i)));
-                            stats.tasks += 1;
-                        }
-                        for off in 1..n {
-                            let victim = (w + off) % n;
-                            if try_steal(&ranges[victim], &ranges[w]) {
-                                stats.steals += 1;
-                                continue 'drain;
-                            }
-                        }
-                        // Every range observed empty ⇒ all indices are
-                        // claimed (ranges only shrink). A steal still in
-                        // its publish window only makes *this* worker
-                        // exit early; the thief owns those tasks.
-                        if ranges.iter().all(|r| {
-                            let (h, t) = unpack(r.load(Ordering::Acquire));
-                            h >= t
-                        }) {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
-                    (results, stats)
-                })
-            })
-            .collect();
-        join_all(handles)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as TestAtomic;
 
     fn grid_squares(tasks: usize, workers: usize) -> (Vec<usize>, SchedulerStats) {
         run_grid(tasks, workers, |_| (), |(), t| t * t)
     }
 
     #[test]
-    fn inline_small_and_stealing_agree() {
+    fn inline_and_shared_cursor_agree() {
         let (serial, s1) = grid_squares(37, 1);
         assert_eq!(s1.strategy, Strategy::Inline);
-        let (shared, s2) = grid_squares(5, 4);
-        assert_eq!(s2.strategy, Strategy::SharedIndex);
-        assert_eq!(shared, (0..5).map(|t| t * t).collect::<Vec<_>>());
-        let (stolen, s3) = grid_squares(37, 4);
-        assert_eq!(s3.strategy, Strategy::Stealing);
-        assert_eq!(serial, stolen);
+        for workers in [2, 4] {
+            let (shared, s2) = grid_squares(37, workers);
+            assert_eq!(s2.strategy, Strategy::SharedIndex);
+            assert_eq!(s2.steals, 0);
+            assert_eq!(serial, shared);
+        }
         assert_eq!(serial, (0..37).map(|t| t * t).collect::<Vec<_>>());
     }
 
@@ -461,28 +308,32 @@ mod tests {
     }
 
     #[test]
-    fn skewed_grid_gets_stolen() {
-        // Task 0 is ~10× the rest: the owner of the front range gets
-        // stuck on it and the others must steal to stay busy.
-        let slow = TestAtomic::new(0);
+    fn one_long_task_does_not_stall_the_other_workers() {
+        // Task 0 holds its worker until every other task has finished (or
+        // a generous deadline passes): the other workers must drain the
+        // whole rest of the grid meanwhile.
+        let tasks = 64;
+        let done = AtomicUsize::new(0);
         let (out, stats) = run_grid(
-            64,
+            tasks,
             4,
             |_| (),
             |(), t| {
-                let spins = if t == 0 { 200_000u64 } else { 20_000 };
-                let mut acc = 0u64;
-                for i in 0..spins {
-                    acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
+                if t > 0 {
+                    done.fetch_add(1, Ordering::Relaxed);
+                    return t;
                 }
-                // Sink `acc` so the spin loop cannot be optimized away.
-                slow.fetch_add(acc | 1, Ordering::Relaxed);
-                to_u64(t)
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while done.load(Ordering::Relaxed) < tasks - 1 && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_micros(100));
+                }
+                done.load(Ordering::Relaxed)
             },
         );
-        assert_eq!(out, (0..64u64).collect::<Vec<_>>());
-        assert_eq!(stats.strategy, Strategy::Stealing);
-        assert_eq!(stats.per_worker.len(), 4);
+        assert_eq!(out[0], tasks - 1, "the other tasks waited on task 0");
+        assert_eq!(out[1..], (1..tasks).collect::<Vec<_>>());
+        // The worker that claimed task 0 first found the grid drained.
+        assert!(stats.per_worker.iter().any(|w| w.tasks == 1), "{stats:?}");
     }
 
     #[test]
@@ -533,31 +384,5 @@ mod tests {
     fn zero_defaults_to_available_parallelism() {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(5), 5);
-    }
-
-    #[test]
-    fn pack_roundtrip_and_steal_protocol() {
-        let r = TestAtomic::new(pack(3, 11));
-        assert_eq!(unpack(r.load(Ordering::Relaxed)), (3, 11));
-        assert_eq!(pop_front(&r), Some(3));
-        let me = TestAtomic::new(pack(0, 0));
-        assert!(try_steal(&r, &me));
-        // Victim kept its front, the thief published the back half.
-        let (vh, vt) = unpack(r.load(Ordering::Relaxed));
-        let (mh, mt) = unpack(me.load(Ordering::Relaxed));
-        assert_eq!((vh, mt), (4, 11));
-        assert_eq!(vt, mh);
-        // Stealing drains down to single tasks — nothing is stranded.
-        while try_steal(&r, &me) || pop_front(&me).is_some() || pop_front(&r).is_some() {}
-        assert_eq!(
-            unpack(r.load(Ordering::Relaxed)).0,
-            unpack(r.load(Ordering::Relaxed)).1
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "32-bit bound")]
-    fn oversized_grid_panics() {
-        let _ = run_grid(usize::MAX, 2, |_| (), |(), t| t);
     }
 }

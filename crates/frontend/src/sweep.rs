@@ -46,7 +46,7 @@ pub struct SweepResult {
     pub policies: Vec<PolicyKind>,
     /// One point per geometry, in the order supplied.
     pub points: Vec<SweepPoint>,
-    /// Scheduler observability for the run (worker utilization, steals).
+    /// Scheduler observability for the run (worker utilization, busy time).
     pub scheduler: SchedulerStats,
 }
 

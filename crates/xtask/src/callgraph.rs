@@ -741,6 +741,8 @@ fn type_of(e: &Expr, owner: Option<&str>, env: &TypeEnv, g: &Graph<'_>) -> Optio
         Expr::Paren { exprs, tuple, .. } if !*tuple && exprs.len() == 1 => {
             type_of(&exprs[0], owner, env, g)
         }
+        // A struct literal receiver: `RunSpec { … }.run(threads)`.
+        Expr::Struct { .. } => init_type(e, owner),
         _ => None,
     }
 }

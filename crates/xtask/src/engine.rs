@@ -172,14 +172,6 @@ pub fn is_index_helper(rel: &Path) -> bool {
     normalized(rel).ends_with("/cache/src/index.rs")
 }
 
-/// Whether the file is eligible for the dispatch-drift pass: library
-/// code under `crates/*/src`, excluding binaries (`src/bin/` hosts
-/// one-off experiment tools with private policy impls).
-pub fn is_dispatch_scope(rel: &Path) -> bool {
-    let s = normalized(rel);
-    s.starts_with("/crates/") && s.contains("/src/") && !s.contains("/src/bin/")
-}
-
 /// Relative path with a leading `/` and forward slashes, so suffix,
 /// prefix and substring checks behave identically on every platform.
 fn normalized(rel: &Path) -> String {
@@ -220,17 +212,5 @@ mod tests {
         assert!(!is_hot_path(Path::new("src/lib.rs")));
         assert!(is_index_helper(Path::new("crates/cache/src/index.rs")));
         assert!(!is_index_helper(Path::new("crates/cache/src/cache.rs")));
-    }
-
-    #[test]
-    fn dispatch_scope() {
-        assert!(is_dispatch_scope(Path::new(
-            "crates/frontend/src/policy.rs"
-        )));
-        assert!(!is_dispatch_scope(Path::new(
-            "crates/bench/src/bin/oracle_policy.rs"
-        )));
-        assert!(!is_dispatch_scope(Path::new("examples/custom_policy.rs")));
-        assert!(!is_dispatch_scope(Path::new("crates/cache/tests/it.rs")));
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! ```json
 //! {
-//!   "schema": "xtask-lint/2",
+//!   "schema": "xtask-lint/3",
 //!   "files_scanned": 120,
 //!   "clean": true,
 //!   "findings": [ {"file", "line", "rule", "message"} ],
@@ -27,7 +27,10 @@
 //! does not exist in this revision". Schema `/2` added the three
 //! interprocedural rules to `rule_counts` and the `effects` object —
 //! workspace-wide counts of functions whose *transitive* summary
-//! carries each effect bit. Phase timings are deliberately absent:
+//! carries each effect bit. Schema `/3` dropped the `dispatch-drift`,
+//! `registry-drift` and `atomics-audit` keys with the passes: a type, an
+//! exhaustive `match` or a unit test now holds what they checked.
+//! Phase timings are deliberately absent:
 //! the report must be byte-diffable across identical revisions.
 
 #![forbid(unsafe_code)]
@@ -42,7 +45,7 @@ use crate::LintReport;
 pub fn render(report: &LintReport) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    let _ = writeln!(out, "  \"schema\": \"xtask-lint/2\",");
+    let _ = writeln!(out, "  \"schema\": \"xtask-lint/3\",");
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
     let _ = writeln!(
         out,
@@ -162,12 +165,16 @@ mod tests {
             ..LintReport::default()
         };
         let j = render(&report);
-        assert!(j.contains("\"schema\": \"xtask-lint/2\""));
+        assert!(j.contains("\"schema\": \"xtask-lint/3\""));
         assert!(j.contains("\"clean\": true"));
         assert!(j.contains("\"findings\": []"));
         // Every rule present with a zero count.
         for rule in RULES {
             assert!(j.contains(&format!("\"{rule}\": 0")), "missing {rule}");
+        }
+        // Rules retired in schema /3 are gone, not reported as zero.
+        for retired in ["dispatch-drift", "registry-drift", "atomics-audit"] {
+            assert!(!j.contains(retired), "retired rule {retired} still listed");
         }
         // The effect-summary block is always present.
         assert!(j.contains("\"effects\": {"));

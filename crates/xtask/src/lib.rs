@@ -2,29 +2,21 @@
 //!
 //! Everything here operates on the typed AST produced by the vendored
 //! [`syn`] stand-in — one parse per file, shared by every pass — instead
-//! of the line/regex heuristics the original scanner used. Three
+//! of the line/regex heuristics the original scanner used. Four
 //! subsystems (see `DESIGN.md` §"Correctness & static analysis"):
 //!
 //! * [`rules`] — the project lint rules: the four legacy rules
 //!   (`no-panic`, `pow2-mask`, `forbid-unsafe`, `checked-index`) plus
-//!   the expression-dataflow rules (`nondet-taint`, `atomics-audit`,
-//!   `float-order`, `alloc-in-hot-loop`), all matched on the expression
-//!   AST so strings, comments, chars and lifetimes can never confuse
-//!   them.
+//!   the expression-dataflow rules (`nondet-taint`, `float-order`,
+//!   `alloc-in-hot-loop`), all matched on the expression AST so
+//!   strings, comments, chars and lifetimes can never confuse them.
 //! * [`dataflow`] / [`passes`] — the per-function lowering
 //!   ([`dataflow::FnUnit`]), the name-scoped type environment
-//!   ([`dataflow::Env`]) and the four dataflow passes built on them.
+//!   ([`dataflow::Env`]) and the dataflow passes built on them.
 //! * [`callgraph`] / [`effects`] — the interprocedural layer: workspace
 //!   symbol table, resolved call graph, per-function effect summaries
 //!   propagated to fixpoint, and the three rules on top (`panic-path`,
 //!   `render-purity`, `reset-complete`). See DESIGN.md §8.4.
-//! * [`dispatch`] — drift detection for the `AnyPolicy` closed sum:
-//!   every `impl ReplacementPolicy` must have an enum variant, every
-//!   variant an impl and a `try_build_pair` construction site, and every
-//!   `PolicyKind` a config-string spelling.
-//! * [`registry`] — drift detection for the experiment registry: the
-//!   `ALL` table, the `build` dispatch, and the `report run <name>`
-//!   commands documented in `EXPERIMENTS.md` must agree.
 //! * [`audit`] — the paper storage-budget auditor: locates the canonical
 //!   parameter constants by their `budget-key:` doc markers,
 //!   const-evaluates them, recomputes the paper's Table I storage
@@ -37,13 +29,11 @@ pub mod audit;
 pub mod callgraph;
 pub mod consteval;
 pub mod dataflow;
-pub mod dispatch;
 pub mod effects;
 pub mod engine;
 pub mod json;
 pub mod minitoml;
 pub mod passes;
-pub mod registry;
 pub mod rules;
 
 use std::path::{Path, PathBuf};
@@ -55,7 +45,7 @@ pub struct Finding {
     pub file: PathBuf,
     /// 1-based source line (0 when the file could not be read).
     pub line: usize,
-    /// Rule identifier (`no-panic`, …, `dispatch-drift`, `parse-error`).
+    /// Rule identifier (`no-panic`, …, `reset-complete`, `parse-error`).
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -94,7 +84,7 @@ pub struct PhaseTimings {
     pub rules_ms: f64,
     /// Call-graph construction + effect fixpoint.
     pub graph_ms: f64,
-    /// Workspace passes (drift checks + interprocedural rules).
+    /// Workspace passes (the interprocedural rules).
     pub passes_ms: f64,
 }
 
@@ -115,8 +105,8 @@ pub struct LintReport {
     pub timings: PhaseTimings,
 }
 
-/// Run every lint pass (per-file rules + allow hygiene + workspace
-/// drift checks + the interprocedural effect rules) over the workspace
+/// Run every lint pass (per-file rules + allow hygiene + the
+/// interprocedural effect rules) over the workspace
 /// rooted at `root`. Each file is parsed and lowered exactly once; the
 /// same AST feeds the file rules and the call graph.
 pub fn run_lint(root: &Path) -> LintReport {
@@ -170,8 +160,7 @@ pub fn run_lint(root: &Path) -> LintReport {
     // Phase 4: workspace-level passes. All honor the same justified-
     // annotation escape hatch as the per-file rules.
     let t = std::time::Instant::now();
-    let mut ws_findings = dispatch::check(&ws);
-    ws_findings.extend(registry::check(&ws));
+    let mut ws_findings = Vec::new();
     passes::panic_path::run(&graph, &eff, &mut ws_findings);
     passes::render_purity::run(&graph, &eff, &mut ws_findings);
     passes::reset_complete::run(&graph, &mut ws_findings);

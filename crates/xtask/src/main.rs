@@ -1,8 +1,9 @@
 //! Repository automation (`cargo xtask <command>`).
 //!
-//! * `lint` — run the semantic rule passes (four project rules, allow
-//!   hygiene, dispatch-drift) over every owned source file. See
-//!   [`xtask::rules`] and `DESIGN.md` §"Correctness & static analysis".
+//! * `lint` — run the semantic rule passes (the ten rules of
+//!   [`xtask::rules::RULES`] plus allow hygiene) over every owned source
+//!   file. See [`xtask::rules`] and `DESIGN.md` §"Correctness & static
+//!   analysis".
 //! * `audit` — recompute the paper's storage budgets from the source
 //!   AST and diff them against `budgets.toml`. See [`xtask::audit`].
 //!

@@ -7,8 +7,6 @@
 //!
 //! * [`nondet`] — `nondet-taint` + `float-order`: unordered-map
 //!   iteration escaping into ordered results or float accumulation.
-//! * [`atomics`] — `atomics-audit`: the scheduler's declared memory-
-//!   ordering protocol, enforced exactly.
 //! * [`hotloop`] — `alloc-in-hot-loop`: per-iteration heap churn in
 //!   simulator hot loops.
 //!
@@ -27,7 +25,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod atomics;
 pub mod hotloop;
 pub mod nondet;
 pub mod panic_path;

@@ -22,9 +22,7 @@
 //!    results or serialized output without an ordering sink.
 //! 6. **float-order** — float accumulation ordered by unordered
 //!    iteration or task completion.
-//! 7. **atomics-audit** — the scheduler's declared memory-ordering
-//!    protocol, enforced exactly on `frontend/src/schedule.rs`.
-//! 8. **alloc-in-hot-loop** — per-iteration heap churn in hot loops.
+//! 7. **alloc-in-hot-loop** — per-iteration heap churn in hot loops.
 //!
 //! Function bodies are lowered to the expression AST
 //! ([`syn::expr`]) once per file and every body rule runs on that
@@ -51,17 +49,14 @@ use crate::passes;
 use crate::Finding;
 
 /// The rule identifiers accepted by the allow-annotation.
-pub const RULES: [&str; 13] = [
+pub const RULES: [&str; 10] = [
     "no-panic",
     "pow2-mask",
     "forbid-unsafe",
     "checked-index",
     "nondet-taint",
-    "atomics-audit",
     "float-order",
     "alloc-in-hot-loop",
-    "dispatch-drift",
-    "registry-drift",
     "panic-path",
     "render-purity",
     "reset-complete",
@@ -142,10 +137,6 @@ pub fn lint_file(
         let hot = pf.source.class == FileClass::Library && is_hot_path(rel);
         let helper = is_index_helper(rel);
         let library = pf.source.class == FileClass::Library;
-        let atomics_scope = rel
-            .to_string_lossy()
-            .replace('\\', "/")
-            .ends_with("frontend/src/schedule.rs");
 
         // Streams that never reach the expression parser keep the token
         // scanners: signatures, const types/initializers, field types,
@@ -162,9 +153,6 @@ pub fn lint_file(
             }
             if hot {
                 passes::hotloop::run(unit, &mut hits);
-            }
-            if atomics_scope {
-                passes::atomics::run(unit, &mut hits);
             }
         }
     }

@@ -77,9 +77,8 @@ fn semantic_engine_reproduces_legacy_scanner_findings() {
     );
 
     // The expanded scope adds exactly the known extras: `examples/`
-    // (which the old scanner never saw) and the dataflow rules — the
-    // corpus steal fixture's `Ordering::Relaxed` load on a range deque
-    // must trip the atomics protocol audit.
+    // (which the old scanner never saw) and the dataflow and
+    // interprocedural rules.
     let mut extras: Vec<&str> = keys
         .iter()
         .map(String::as_str)
@@ -90,7 +89,6 @@ fn semantic_engine_reproduces_legacy_scanner_findings() {
         extras,
         [
             "crates/core/src/pipeline.rs:9:panic-path",
-            "crates/frontend/src/schedule.rs:15:atomics-audit",
             "crates/trace/src/corpus.rs:16:alloc-in-hot-loop",
             "examples/ex.rs:1:forbid-unsafe"
         ]

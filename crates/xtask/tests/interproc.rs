@@ -218,6 +218,41 @@ fn seeded_clock_read_in_render_is_caught() {
     );
 }
 
+/// A method called on a struct literal (`RunSpec { … }.run(…)`) resolves
+/// through the literal's type, so a clock read behind it taints the
+/// render that makes the call.
+#[test]
+fn method_on_a_struct_literal_is_resolved() {
+    let tmp = TempRoot::new("struct-literal-receiver");
+    tmp.write(
+        "crates/bench/src/exp.rs",
+        "#![forbid(unsafe_code)]
+
+pub struct RunSpec {
+    pub lanes: usize,
+}
+
+impl RunSpec {
+    pub fn run(&self, threads: usize) -> f64 {
+        let t0 = std::time::Instant::now();
+        t0.elapsed().as_secs_f64() * (self.lanes + threads) as f64
+    }
+}
+
+pub struct LiteralExp;
+
+impl Experiment for LiteralExp {
+    fn render(&self) -> String {
+        let ms = RunSpec { lanes: 2 }.run(2);
+        format!(\"{ms}\")
+    }
+}
+",
+    );
+    // The finding lands on the `fn render` line.
+    assert_eq!(keys(&tmp.0), ["crates/bench/src/exp.rs:17:render-purity"]);
+}
+
 fn lint_cmd(root: &Path, extra: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_xtask"))
         .arg("lint")
