@@ -227,8 +227,9 @@ impl std::fmt::Debug for SharedBuf {
     }
 }
 
-/// Parsed index entry for one trace: where its columns live in the
-/// shared buffer, plus the recorded checksums.
+/// Index entry for one trace: where its columns live in the shared
+/// buffer, plus the recorded checksums (a [`CorpusBuilder`] holds its
+/// entries with relative offsets until `finish`).
 #[derive(Debug, Clone)]
 struct TraceMeta {
     name: String,
@@ -262,12 +263,9 @@ impl TraceMeta {
         &data[self.offsets[c]..self.offsets[c] + self.col_len(c)]
     }
 
-    /// The sidecar's bytes (empty when none is recorded: a zero-length
-    /// entry's offset was never validated, so it is not sliced).
+    /// The sidecar's bytes (empty when none is recorded; the range was
+    /// validated at parse).
     fn sidecar<'a>(&self, data: &'a [u8]) -> &'a [u8] {
-        if self.sig_len == 0 {
-            return &[];
-        }
         &data[self.sig_off..self.sig_off + self.sig_len]
     }
 
@@ -287,26 +285,18 @@ impl TraceMeta {
 /// Incremental corpus encoder: push traces, then [`finish`] into the
 /// on-disk byte layout.
 ///
+/// The builder holds the corpus once, in file order (see
+/// [`finish`]).
+///
 /// [`finish`]: CorpusBuilder::finish
 #[derive(Debug, Default)]
 pub struct CorpusBuilder {
-    traces: Vec<Pending>,
-}
-
-#[derive(Debug)]
-struct Pending {
-    name: String,
-    /// `name.len()`, validated to fit the index's u16 field at push.
-    name_len: u16,
-    instructions: u64,
-    pc: Vec<u8>,
-    target: Vec<u8>,
-    kind: Vec<u8>,
-    taken: Vec<u8>,
-    records: u64,
-    /// Serialized signature sidecar (windowed signatures computed at
-    /// push time — the "compute once at corpus build" contract).
-    sig: Vec<u8>,
+    /// Index entries: offsets relative to `columns`/`sidecars`, no sums.
+    traces: Vec<TraceMeta>,
+    /// Every trace's pc/target/kind/taken columns, back to back.
+    columns: Vec<u8>,
+    /// Every trace's signature sidecar, computed at push time.
+    sidecars: Vec<u8>,
 }
 
 impl CorpusBuilder {
@@ -329,7 +319,8 @@ impl CorpusBuilder {
     }
 
     /// Append one trace: its name, exact instruction total, and records
-    /// in program order.
+    /// in program order. The column buffer grows by exactly 18 bytes a
+    /// record, filled in one walk over the records.
     ///
     /// # Errors
     ///
@@ -341,35 +332,48 @@ impl CorpusBuilder {
         instructions: u64,
         records: &[BranchRecord],
     ) -> Result<(), TraceError> {
-        let Ok(name_len) = u16::try_from(name.len()) else {
+        if u16::try_from(name.len()).is_err() {
             return Err(TraceError::CorruptCorpus(format!(
                 "trace name too long for the index ({} bytes)",
                 name.len()
             )));
-        };
-        let mut p = Pending {
-            name: name.into(),
-            name_len,
-            instructions,
-            pc: Vec::with_capacity(records.len() * 8),
-            target: Vec::with_capacity(records.len() * 8),
-            kind: Vec::with_capacity(records.len()),
-            taken: Vec::with_capacity(records.len()),
-            records: records.len() as u64,
-            sig: compute_signatures(
-                records.iter().copied(),
-                BASE_WINDOW_INSTRUCTIONS,
-                SIGNATURE_DIM,
-            )
-            .to_bytes(),
-        };
-        for r in records {
-            p.pc.extend_from_slice(&r.pc.to_le_bytes());
-            p.target.extend_from_slice(&r.target.to_le_bytes());
-            p.kind.push(r.kind as u8);
-            p.taken.push(u8::from(r.taken));
         }
-        self.traces.push(p);
+        let n = records.len();
+        let start = self.columns.len();
+        self.columns.reserve_exact(n * 18);
+        self.columns.resize(start + n * 18, 0);
+        let (pc, rest) = self.columns[start..].split_at_mut(n * 8);
+        let (target, rest) = rest.split_at_mut(n * 8);
+        let (kind, taken) = rest.split_at_mut(n);
+        for ((((r, pc), target), kind), taken) in records
+            .iter()
+            .zip(pc.chunks_exact_mut(8))
+            .zip(target.chunks_exact_mut(8))
+            .zip(kind)
+            .zip(taken)
+        {
+            pc.copy_from_slice(&r.pc.to_le_bytes());
+            target.copy_from_slice(&r.target.to_le_bytes());
+            *kind = r.kind as u8;
+            *taken = u8::from(r.taken);
+        }
+        let sig = compute_signatures(
+            records.iter().copied(),
+            BASE_WINDOW_INSTRUCTIONS,
+            SIGNATURE_DIM,
+        )
+        .to_bytes();
+        self.traces.push(TraceMeta {
+            name: name.into(),
+            instructions,
+            n,
+            offsets: [start, start + n * 8, start + n * 16, start + n * 17],
+            sums: [0; 4],
+            sig_off: self.sidecars.len(),
+            sig_len: sig.len(),
+            sig_sum: 0,
+        });
+        self.sidecars.extend_from_slice(&sig);
         Ok(())
     }
 
@@ -385,75 +389,59 @@ impl CorpusBuilder {
     /// Assemble the on-disk byte layout (header, index, columns,
     /// signature sidecars).
     ///
-    /// Every column and sidecar is hashed once, in one lockstep kernel
-    /// pass, and copied into the output once; each trace's pending
-    /// columns are freed as soon as they are copied, so the pending
-    /// data and the output never both hold the whole corpus.
+    /// The column buffer becomes the output: its bytes shift up once to
+    /// make room for the header and index, the sidecars follow, and
+    /// every region is hashed where it lies in one lockstep kernel
+    /// pass. No second corpus-sized buffer ever exists; freeing
+    /// per-trace buffers as they are copied is not enough, since glibc
+    /// raises its mmap threshold after its first large free and freed
+    /// heap blocks stay resident.
     #[must_use]
     pub fn finish(self) -> Vec<u8> {
-        let index_bytes: usize = self
-            .traces
+        let CorpusBuilder {
+            mut traces,
+            columns: mut out,
+            sidecars,
+        } = self;
+        let index_bytes: usize = traces
             .iter()
             .map(|t| 2 + t.name.len() + ENTRY_FIXED_BYTES)
             .sum();
-        let data_bytes: usize = self
-            .traces
-            .iter()
-            .map(|t| t.pc.len() + t.target.len() + t.kind.len() + t.taken.len())
-            .sum();
-        let sig_bytes: usize = self.traces.iter().map(|t| t.sig.len()).sum();
-        let regions: Vec<&[u8]> = self
-            .traces
-            .iter()
-            .flat_map(|t| [&t.pc[..], &t.target, &t.kind, &t.taken, &t.sig])
-            .collect();
+        let head = HEADER_BYTES + index_bytes;
+        let data_bytes = out.len();
+        out.reserve_exact(head + sidecars.len());
+        out.resize(head + data_bytes, 0);
+        out.copy_within(..data_bytes, head);
+        out.extend_from_slice(&sidecars);
+        for t in &mut traces {
+            t.offsets = t.offsets.map(|o| o + head);
+            t.sig_off += head + data_bytes;
+        }
+        let regions: Vec<&[u8]> = traces.iter().flat_map(|t| t.checksummed(&out)).collect();
         let sums = fnv1a64_each(&regions);
-        let mut out = Vec::with_capacity(HEADER_BYTES + index_bytes + data_bytes + sig_bytes);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.traces.len() as u64).to_le_bytes());
-        out.extend_from_slice(&(index_bytes as u64).to_le_bytes());
 
-        // Index: column offsets are absolute file offsets, assigned in
-        // trace order right after the index region; sidecars follow all
-        // column data, also in trace order.
-        let mut off = HEADER_BYTES + index_bytes;
-        let mut sig_off = off + data_bytes;
-        for (t, sums) in self.traces.iter().zip(sums.chunks_exact(CHECKSUMMED)) {
-            out.extend_from_slice(&t.name_len.to_le_bytes());
-            out.extend_from_slice(t.name.as_bytes());
-            out.extend_from_slice(&t.instructions.to_le_bytes());
-            out.extend_from_slice(&t.records.to_le_bytes());
-            for col in [&t.pc, &t.target, &t.kind, &t.taken] {
-                out.extend_from_slice(&(off as u64).to_le_bytes());
-                off += col.len();
+        let mut index = Vec::with_capacity(head);
+        index.extend_from_slice(&MAGIC);
+        index.extend_from_slice(&VERSION.to_le_bytes());
+        index.extend_from_slice(&(traces.len() as u64).to_le_bytes());
+        index.extend_from_slice(&(index_bytes as u64).to_le_bytes());
+        for (t, sums) in traces.iter().zip(sums.chunks_exact(CHECKSUMMED)) {
+            // The low two bytes: the length fits a u16 (checked at push).
+            index.extend_from_slice(&t.name.len().to_le_bytes()[..2]);
+            index.extend_from_slice(t.name.as_bytes());
+            index.extend_from_slice(&t.instructions.to_le_bytes());
+            index.extend_from_slice(&(t.n as u64).to_le_bytes());
+            for off in t.offsets {
+                index.extend_from_slice(&(off as u64).to_le_bytes());
             }
             for sum in &sums[..4] {
-                out.extend_from_slice(&sum.to_le_bytes());
+                index.extend_from_slice(&sum.to_le_bytes());
             }
-            out.extend_from_slice(&(sig_off as u64).to_le_bytes());
-            out.extend_from_slice(&(t.sig.len() as u64).to_le_bytes());
-            out.extend_from_slice(&sums[4].to_le_bytes());
-            sig_off += t.sig.len();
+            index.extend_from_slice(&(t.sig_off as u64).to_le_bytes());
+            index.extend_from_slice(&(t.sig_len as u64).to_le_bytes());
+            index.extend_from_slice(&sums[4].to_le_bytes());
         }
-        let mut sigs = Vec::with_capacity(self.traces.len());
-        for t in self.traces {
-            let Pending {
-                pc,
-                target,
-                kind,
-                taken,
-                sig,
-                ..
-            } = t;
-            for col in [pc, target, kind, taken] {
-                out.extend_from_slice(&col);
-            }
-            sigs.push(sig);
-        }
-        for sig in sigs {
-            out.extend_from_slice(&sig);
-        }
+        out[..head].copy_from_slice(&index);
         out
     }
 }
@@ -651,7 +639,7 @@ fn verify_trace(data: &[u8], meta: &TraceMeta, sums: &[u64]) -> Result<(), Trace
 }
 
 /// Structural parse of the header and index: magic, version, entry
-/// geometry, and column ranges against the buffer length.
+/// geometry, and the canonical layout of the regions behind the index.
 fn parse_index(data: &[u8]) -> Result<Vec<TraceMeta>, TraceError> {
     if data.len() < HEADER_BYTES {
         return Err(TraceError::CorruptCorpus(format!(
@@ -691,11 +679,34 @@ fn parse_index(data: &[u8]) -> Result<Vec<TraceMeta>, TraceError> {
             index_end - at
         )));
     }
+    check_layout(&metas, index_end, data.len())?;
     Ok(metas)
 }
 
+/// Check the one layout the builder writes: from the end of the index,
+/// every trace's four columns back to back in trace order, then every
+/// sidecar, then the end of the file — so regions never overlap and
+/// every byte after the index is in exactly one checksummed region.
+fn check_layout(metas: &[TraceMeta], index_end: usize, file_len: usize) -> Result<(), TraceError> {
+    let columns = metas
+        .iter()
+        .flat_map(|m| (0..4).map(move |c| (m.offsets[c], m.col_len(c))));
+    let sidecars = metas.iter().map(|m| (m.sig_off, m.sig_len));
+    let end = columns
+        .chain(sidecars)
+        .try_fold(index_end, |at, (off, len)| {
+            (off == at).then(|| at.checked_add(len)).flatten()
+        });
+    if end != Some(file_len) {
+        return Err(TraceError::CorruptCorpus(
+            "index regions do not tile the data after the index".into(),
+        ));
+    }
+    Ok(())
+}
+
 /// Parse one index entry at `*at`, bounds-checked against `index_end`
-/// for the entry itself and against the file length for its columns.
+/// (its regions are placed by [`check_layout`]).
 fn parse_entry(data: &[u8], at: &mut usize, index_end: usize) -> Result<TraceMeta, TraceError> {
     let err = |what: &str| TraceError::CorruptCorpus(format!("index entry: {what}"));
     let mut pos = *at;
@@ -715,23 +726,15 @@ fn parse_entry(data: &[u8], at: &mut usize, index_end: usize) -> Result<TraceMet
     let name = String::from_utf8_lossy(take(&mut pos, name_len)?).into_owned();
     let instructions = read_u64(take(&mut pos, 8)?);
     let records = read_u64(take(&mut pos, 8)?);
-    let n = usize::try_from(records).map_err(|_| err("record count overflows usize"))?;
+    // `TraceMeta::col_len` multiplies by 8 unchecked.
+    let n = usize::try_from(records)
+        .ok()
+        .filter(|n| n.checked_mul(8).is_some())
+        .ok_or_else(|| err("record count overflows usize"))?;
     let mut offsets = [0usize; 4];
-    for (c, slot) in offsets.iter_mut().enumerate() {
-        let Ok(off) = usize::try_from(read_u64(take(&mut pos, 8)?)) else {
-            return Err(err("column offset overflows usize"));
-        };
-        let width = if c < 2 { 8usize } else { 1 };
-        let Some(len) = n.checked_mul(width) else {
-            return Err(err("column length overflows usize"));
-        };
-        if off
-            .checked_add(len)
-            .is_none_or(|end| end > data.len() || off < index_end)
-        {
-            return Err(err("column range outside the data region"));
-        }
-        *slot = off;
+    for slot in &mut offsets {
+        *slot = usize::try_from(read_u64(take(&mut pos, 8)?))
+            .map_err(|_| err("column offset overflows usize"))?;
     }
     let mut sums = [0u64; 4];
     for slot in &mut sums {
@@ -742,13 +745,6 @@ fn parse_entry(data: &[u8], at: &mut usize, index_end: usize) -> Result<TraceMet
     let sig_len = usize::try_from(read_u64(take(&mut pos, 8)?))
         .map_err(|_| err("sidecar length overflows usize"))?;
     let sig_sum = read_u64(take(&mut pos, 8)?);
-    if sig_len > 0
-        && sig_off
-            .checked_add(sig_len)
-            .is_none_or(|end| end > data.len() || sig_off < index_end)
-    {
-        return Err(err("sidecar range outside the data region"));
-    }
     *at = pos;
     Ok(TraceMeta {
         name,

@@ -6,9 +6,11 @@
 //! column or a sidecar, and every one of those regions carries an
 //! FNV-1a checksum, which detects any single-byte change. So each
 //! truncation and each single-bit flip in the data region must fail to
-//! load. Flips in the header or index must not panic; the index fields
-//! no checksum covers (trace names and instruction totals) may load
-//! with the flipped value, a known gap pinned at the end of this file.
+//! load. Flips in the header or index must not panic, and whatever
+//! still opens must lay its regions out exactly as the builder does;
+//! the index fields no checksum covers (trace names and instruction
+//! totals) may load with the flipped value, a known gap pinned at the
+//! end of this file.
 
 #![forbid(unsafe_code)]
 
@@ -69,10 +71,11 @@ fn flipped(bytes: &[u8], bit: usize) -> Vec<u8> {
 
 /// Load `bytes` every way a caller can, and check that whatever loads
 /// never reports more than the bytes behind it: a count that exceeds
-/// the file is a count that could size an allocation. (An unverified
-/// open may accept overlapping column ranges, so the bound is per
-/// region, not summed.) Decodes every record and parses every sidecar
-/// on the way, so a panic anywhere in the read path fails the test.
+/// the file is a count that could size an allocation. The regions of
+/// whatever opens, even unverified, tile the file after the index
+/// exactly (the layout check). Decodes every record and parses every
+/// sidecar on the way, so a panic anywhere in the read path fails the
+/// test.
 fn load_bounded(bytes: &[u8]) -> Result<(), TestCaseError> {
     let len = bytes.len();
     let verified = Corpus::from_bytes(bytes);
@@ -81,9 +84,13 @@ fn load_bounded(bytes: &[u8]) -> Result<(), TestCaseError> {
         let statuses = corpus.verify_each();
         prop_assert_eq!(statuses.len(), corpus.len());
         prop_assert_eq!(verified.is_ok(), statuses.iter().all(Result::is_ok));
+        let regions: usize = corpus
+            .traces()
+            .iter()
+            .map(|t| t.column_bytes() + t.sidecar_bytes())
+            .sum();
+        prop_assert_eq!(data_start(bytes) + regions, len);
         for trace in corpus.traces() {
-            prop_assert!(trace.records() * 8 <= len as u64);
-            prop_assert!(trace.sidecar_bytes() <= len);
             prop_assert_eq!(trace.cursor().count() as u64, trace.records());
             if let Ok(sigs) = trace.signatures() {
                 let windows = sigs.windows().len();
@@ -260,17 +267,19 @@ fn a_lying_sidecar_with_a_matching_checksum_fails_to_parse() {
 
 /// The known integrity gap: no checksum covers the index itself, so a
 /// flip in a trace name or an instruction total loads silently with the
-/// flipped value, and so does a flip that clears a sidecar length with
-/// a single bit set (an empty trace's sidecar is 32 bytes): the trace
-/// then loads without its sidecar, and only asking for its signatures
-/// fails. Closing the gap needs an index checksum (a format change);
-/// this test pins today's behaviour so that change has to update it.
+/// flipped value. Closing that needs an index checksum (a format
+/// change); this test pins today's behaviour so that change has to
+/// update it. Index flips that move a region are caught by the layout
+/// check instead, verified or not: a record count whose columns would
+/// overlap the next trace's, and a sidecar length cleared from 32 (an
+/// empty trace's sidecar) to 0, which leaves bytes after the last
+/// sidecar.
 #[test]
 fn unchecksummed_index_fields_load_with_a_flipped_value() {
     let records: Vec<BranchRecord> = (0..10u64)
         .map(|i| BranchRecord::new(i * 4, BranchKind::CondDirect, true, 0))
         .collect();
-    let bytes = encode(&[(3, records)]);
+    let bytes = encode(&[(3, records.clone())]);
     let name_at = HEADER_BYTES + 2;
     let instructions_at = name_at + 3;
 
@@ -284,11 +293,27 @@ fn unchecksummed_index_fields_load_with_a_flipped_value() {
         0b11_0010 ^ 0b1000
     );
 
+    // 10 records become 11: the first trace's pc column now runs into
+    // its target column, and every later offset disagrees with it.
+    let pair = encode(&[(3, records.clone()), (0, records)]);
+    let records_at = instructions_at + 8;
+    assert_eq!(pair[records_at], 10);
+    let bad = flipped(&pair, records_at * 8);
+    for loaded in [Corpus::open_bytes(bad.as_slice()), Corpus::from_bytes(bad)] {
+        match loaded {
+            Err(TraceError::CorruptCorpus(_)) => {}
+            other => panic!("record count flip: expected CorruptCorpus, got {other:?}"),
+        }
+    }
+
     let empty = encode(&[(1, Vec::new())]);
     let sig_len_at = entry_field(1, 9);
     assert_eq!(empty[sig_len_at], 32);
-    let corpus = Corpus::from_bytes(flipped(&empty, sig_len_at * 8 + 5)).expect("loads");
-    let trace = corpus.get(0).expect("one trace");
-    assert_eq!(trace.sidecar_bytes(), 0);
-    assert!(trace.signatures().is_err());
+    let bad = flipped(&empty, sig_len_at * 8 + 5);
+    for loaded in [Corpus::open_bytes(bad.as_slice()), Corpus::from_bytes(bad)] {
+        match loaded {
+            Err(TraceError::CorruptCorpus(_)) => {}
+            other => panic!("sidecar length flip: expected CorruptCorpus, got {other:?}"),
+        }
+    }
 }

@@ -4,13 +4,15 @@
 //! records and therefore to each other. The corpus encoder must also
 //! write exactly the bytes of a plain one-`fnv1a64`-per-column encoder,
 //! so every corpus file written before the lockstep checksum kernel
-//! still loads.
+//! still loads — through `push_trace`, through `push_synthetic` on
+//! realistic workloads, and in the files `CorpusCache` writes.
 
 #![forbid(unsafe_code)]
 
-use fe_trace::corpus::{fnv1a64, Corpus, CorpusBuilder, MAGIC, VERSION};
+use fe_trace::corpus::{fnv1a64, Corpus, CorpusBuilder, CorpusCache, MAGIC, VERSION};
 use fe_trace::io::{read_binary, write_binary};
 use fe_trace::signature::{compute_signatures, BASE_WINDOW_INSTRUCTIONS, SIGNATURE_DIM};
+use fe_trace::synth::{suite, SyntheticTrace, WorkloadCategory};
 use fe_trace::{BranchKind, BranchRecord};
 use proptest::prelude::*;
 
@@ -121,6 +123,67 @@ fn reference_encode(traces: &[SuiteTrace]) -> Vec<u8> {
         out.extend_from_slice(sig);
     }
     out
+}
+
+/// A synthetic trace as the reference encoder's input.
+fn suite_trace(t: &SyntheticTrace) -> SuiteTrace {
+    (t.name().to_owned(), t.instructions, t.records.clone())
+}
+
+/// One workload of each category at 30 k instructions (seeds from
+/// `base_seed`).
+fn four_categories(base_seed: u64) -> Vec<SyntheticTrace> {
+    let traces: Vec<SyntheticTrace> = suite(4, base_seed)
+        .into_iter()
+        .map(|s| s.instructions(30_000).generate())
+        .collect();
+    let mut categories: Vec<WorkloadCategory> = traces.iter().map(|t| t.spec.category).collect();
+    categories.dedup();
+    assert_eq!(categories.len(), 4, "one trace per category");
+    traces
+}
+
+/// `push_synthetic` on realistic workloads — every category, sidecars
+/// of many windows, an empty trace and a multi-byte UTF-8 name — writes
+/// exactly the reference encoder's bytes.
+#[test]
+fn synthetic_suite_matches_the_reference_encoder() {
+    let mut traces = four_categories(11);
+    let mut empty = traces[0].clone();
+    empty.spec.name = "vide-é".into();
+    empty.instructions = 0;
+    empty.records.clear();
+    traces[1].spec.name = format!("{}→λ", traces[1].spec.name);
+    traces.insert(2, empty);
+    let mut builder = CorpusBuilder::new();
+    for t in &traces {
+        builder.push_synthetic(t).expect("push");
+    }
+    let bytes = builder.finish();
+    let reference: Vec<SuiteTrace> = traces.iter().map(suite_trace).collect();
+    assert_eq!(bytes, reference_encode(&reference));
+    let corpus = Corpus::from_bytes(bytes).expect("the encoded suite verifies");
+    assert_eq!(corpus.len(), traces.len());
+}
+
+/// Every file `CorpusCache::ensure_trace` writes is the reference
+/// encoding of its workload, as a one-trace corpus.
+#[test]
+fn cache_files_match_the_reference_encoder() {
+    let dir = std::env::temp_dir().join(format!("fe-corpus-reference-{}", std::process::id()));
+    let cache = CorpusCache::new(&dir);
+    for trace in four_categories(23) {
+        let (_, generated) = cache.ensure_trace(&trace.spec).expect("cache write");
+        assert!(generated, "a fresh directory generates {}", trace.name());
+        let file = std::fs::read(cache.path_for(&trace.spec)).expect("cache read");
+        assert_eq!(
+            file,
+            reference_encode(&[suite_trace(&trace)]),
+            "{}",
+            trace.name()
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
