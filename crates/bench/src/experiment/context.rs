@@ -5,13 +5,13 @@
 //! changes from that design:
 //!
 //! * parsing returns a [`UsageError`] instead of panicking, so the
-//!   `report` driver (and every thin binary built on it) can exit with a
-//!   proper usage message and a nonzero status;
+//!   `report` driver can exit with a proper usage message and a nonzero
+//!   status;
 //! * every flag is kept as an `Option`, with the effective default behind
 //!   an accessor — experiments that historically used their *own*
-//!   defaults (e.g. `analyze_signatures` seeds from 1237, `suite_bench`
-//!   times a 4 × 400 k mini-suite) can distinguish "the user asked for
-//!   this value" from "nothing was passed".
+//!   defaults (e.g. `analyze_signatures` seeds from 1237, `diag` runs
+//!   12 traces) can distinguish "the user asked for this value" from
+//!   "nothing was passed".
 
 #![forbid(unsafe_code)]
 
@@ -23,9 +23,9 @@ use std::path::PathBuf;
 
 use super::request::SuiteSpec;
 
-/// One-line flag summary shared by the `report` driver and the thin
-/// experiment binaries.
-pub const USAGE: &str = "[--traces N] [--seed S] [--threads T] [--instr N] [--reps R] [--out DIR] [--sampled[=WINDOWS,K,WARMUP]]";
+/// One-line summary of the `report` driver's flags.
+pub const USAGE: &str =
+    "[--traces N] [--seed S] [--threads T] [--instr N] [--out DIR] [--sampled[=WINDOWS,K,WARMUP]]";
 
 /// A malformed command line: unknown flag, missing value, or an
 /// unparsable value.
@@ -54,7 +54,9 @@ pub struct RunContext {
     /// `--instr N` — per-trace instruction override (default: per
     /// workload category).
     pub instr: Option<u64>,
-    /// `--reps R` — repetitions for the timing experiments (default 3).
+    /// Unread: no experiment times anything, and no flag sets it. Kept
+    /// only because the benchmark crate builds `RunContext` by struct
+    /// literal.
     pub reps: Option<usize>,
     /// `--sampled[=WINDOWS,K,WARMUP]` — phase-sampled replay for the
     /// planner's geometry sweeps (default: full replay; bare `--sampled`
@@ -185,7 +187,6 @@ where
             "--seed" => parsed.ctx.seed = Some(parse_value("--seed", it.next())?),
             "--threads" => parsed.ctx.threads = Some(parse_value("--threads", it.next())?),
             "--instr" => parsed.ctx.instr = Some(parse_value("--instr", it.next())?),
-            "--reps" => parsed.ctx.reps = Some(parse_value("--reps", it.next())?),
             "--out" => {
                 let v = it
                     .next()

@@ -1,8 +1,9 @@
-//! Lab notebooks as registry experiments: the calibration, debugging,
-//! and timing harnesses that historically lived in their own binaries.
+//! Lab notebooks as registry experiments: the calibration and debugging
+//! studies that historically lived in their own binaries. None measures
+//! time; wall-clock numbers come only from the `perfbench/` benchmark.
 //!
 //! Most of these drive the simulator directly (single traces, hardcoded
-//! seeds, wall-clock timing), so they declare no plannable requirements;
+//! seeds), so they declare no plannable requirements;
 //! `diag` is the exception — its per-trace table rides the planner. Each
 //! keeps its historical defaults when no flag is passed (`Option`-based
 //! [`RunContext`] fields make "user said nothing" observable) but now
@@ -14,18 +15,16 @@
 use fe_cache::{AccessContext, Cache, CacheConfig, ReplacementPolicy};
 use fe_frontend::engine::{run_lanes, LaneSpec, RunSpec, SliceReplay};
 use fe_frontend::policy::{build_pair, BasePolicy};
-use fe_frontend::sampled::{run_sweep_sampled, SampleParams};
-use fe_frontend::schedule::{run_tasks, SchedulerStats};
+use fe_frontend::sampled::SampleParams;
+use fe_frontend::schedule::run_tasks;
 use fe_frontend::simulator::SimConfig;
-use fe_frontend::sweep::run_sweep_with;
-use fe_frontend::{experiment as fe_experiment, policy::PolicyKind, sweep};
+use fe_frontend::{experiment as fe_experiment, policy::PolicyKind};
 use fe_trace::fetch::FetchStream;
 use fe_trace::synth::{WorkloadCategory, WorkloadSpec};
 use fe_trace::{BranchRecord, TraceStats};
 use ghrp_core::{GhrpConfig, GhrpPolicy, SharedGhrp};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::time::Instant;
 
 use super::context::RunContext;
 use super::request::{SimRequest, SimShape, SuiteSpec};
@@ -849,116 +848,6 @@ impl Experiment for AnalyzeSignatures {
     }
 }
 
-/// Lab notebook: wall-clock breakdown of the single-pass engine.
-pub struct EngineProfile;
-
-impl Experiment for EngineProfile {
-    fn name(&self) -> &'static str {
-        "engine_profile"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "lab"
-    }
-    fn requirements(&self, _ctx: &RunContext) -> Vec<SimRequest> {
-        Vec::new() // times engine layers itself; sharing would skew it
-    }
-    fn render(&self, rctx: &RenderCtx<'_>) -> ExperimentOutput {
-        let ctx = rctx.ctx;
-        let specs: Vec<WorkloadSpec> = fe_trace::synth::suite(ctx.traces.unwrap_or(4), ctx.seed())
-            .into_iter()
-            .map(|s| s.instructions(ctx.instr.unwrap_or(400_000)))
-            .collect();
-        let cfg = SimConfig::paper_default();
-        let mut out = ExperimentOutput::default();
-
-        let time = |stdout: &mut String, label: &str, f: &mut dyn FnMut()| {
-            // lint:allow(render-purity): wall-clock timing IS the quantity this profiling lab reports
-            let t0 = Instant::now();
-            f();
-            let _ = writeln!(
-                stdout,
-                "{label:<34} {:>9.1} ms",
-                t0.elapsed().as_secs_f64() * 1e3
-            );
-        };
-
-        let mut traces = Vec::new();
-        time(&mut out.stdout, "generate (materialize)", &mut || {
-            traces = specs.iter().map(WorkloadSpec::generate).collect::<Vec<_>>();
-        });
-        time(&mut out.stdout, "walker only (streaming pass)", &mut || {
-            for s in &specs {
-                let program = s.build_program();
-                for r in s.walk(&program) {
-                    std::hint::black_box(r);
-                }
-            }
-        });
-        time(
-            &mut out.stdout,
-            "fetch decode only (from slice)",
-            &mut || {
-                for t in &traces {
-                    for c in FetchStream::new(t.records.iter().copied(), 64) {
-                        std::hint::black_box(c);
-                    }
-                }
-            },
-        );
-        // Event volume: how much work one lane does per trace replay.
-        {
-            let mut accesses = 0u64;
-            let mut lookups = 0u64;
-            for t in &traces {
-                let r = &run_lanes(&cfg, &[PolicyKind::Lru], &SliceReplay::from_trace(t))[0];
-                accesses += r.icache.accesses;
-                lookups += r.btb_lookups;
-            }
-            let _ = writeln!(
-                out.stdout,
-                "events/lane: {accesses} icache accesses, {lookups} btb lookups (post-warmup)"
-            );
-        }
-        for &p in &[
-            PolicyKind::Lru,
-            PolicyKind::Fifo,
-            PolicyKind::Random,
-            PolicyKind::Srrip,
-            PolicyKind::Drrip,
-            PolicyKind::Sdbp,
-            PolicyKind::Ghrp,
-        ] {
-            time(
-                &mut out.stdout,
-                &format!("engine, single lane: {p}"),
-                &mut || {
-                    for t in &traces {
-                        std::hint::black_box(run_lanes(&cfg, &[p], &SliceReplay::from_trace(t)));
-                    }
-                },
-            );
-        }
-        time(&mut out.stdout, "engine, all 7 lanes", &mut || {
-            for t in &traces {
-                std::hint::black_box(run_lanes(
-                    &cfg,
-                    &[
-                        PolicyKind::Lru,
-                        PolicyKind::Fifo,
-                        PolicyKind::Random,
-                        PolicyKind::Srrip,
-                        PolicyKind::Drrip,
-                        PolicyKind::Sdbp,
-                        PolicyKind::Ghrp,
-                    ],
-                    &SliceReplay::from_trace(t),
-                ));
-            }
-        });
-        out
-    }
-}
-
 /// Dynamic-selection lab: static candidates versus the set-dueling
 /// hybrids (`duel(...)` and `phase(...)`) on mixed and phase-shifting
 /// synthetic workloads.
@@ -1458,494 +1347,6 @@ impl Experiment for LabSampledFidelity {
             "at least one non-exact sampling config replays >=5x fewer instructions than full replay",
             "speedup_margin",
         ));
-        out
-    }
-}
-
-/// Suite-level throughput benchmark emitting `BENCH_suite.json`.
-pub struct SuiteBench;
-
-/// The 7-policy headline set (the paper's five plus the extension
-/// baselines FIFO and DRRIP) — same set as the `suite_throughput`
-/// criterion bench.
-const SEVEN: &[PolicyKind] = &[
-    PolicyKind::Lru,
-    PolicyKind::Fifo,
-    PolicyKind::Random,
-    PolicyKind::Srrip,
-    PolicyKind::Drrip,
-    PolicyKind::Sdbp,
-    PolicyKind::Ghrp,
-];
-
-/// The pre-scheduler (PR 3) reference on the 1-CPU container, same
-/// 4 × 400k mini-suite at threads = 1; only comparable when a run uses
-/// the canonical shape (see `results/suite_throughput.txt`).
-const BASE_SUITE_MS: f64 = 88.07;
-const BASE_SWEEP_MS: f64 = 649.18;
-
-/// The pre-corpus (PR 6) reference on the same container and shape:
-/// streamed replay on the work-stealing scheduler, from the committed
-/// `BENCH_suite.json` of that revision.
-const PR6_SUITE_MS: f64 = 79.016;
-const PR6_SWEEP_MS: f64 = 304.168;
-
-/// Million records per second for `n` records decoded in `wall_ms`.
-fn mrec_per_sec(n: u64, wall_ms: f64) -> f64 {
-    if wall_ms > 0.0 {
-        (n as f64 / (wall_ms / 1e3) / 1e6 * 1000.0).round() / 1000.0
-    } else {
-        0.0
-    }
-}
-
-/// The pre-corpus `FETR` decode loop, reconstructed verbatim from the
-/// PR 6 `TraceReader::read_record` — one buffered `read` loop per
-/// 18-byte record, with per-record validation — as the denominator of
-/// the corpus section's columnar-speedup figure (the shipping
-/// [`fe_trace::io::TraceReader`] is block-buffered now).
-pub(crate) fn fetr_per_record_decode(blob: &[u8]) -> u64 {
-    use std::io::{BufReader, Read};
-    let mut inner = BufReader::new(blob);
-    let mut header = [0u8; 8];
-    inner.read_exact(&mut header).expect("FETR header");
-    let mut n = 0u64;
-    loop {
-        let mut buf = [0u8; fe_trace::io::RECORD_BYTES];
-        let mut got = 0usize;
-        while got < fe_trace::io::RECORD_BYTES {
-            let r = inner.read(&mut buf[got..]).expect("in-memory read");
-            if r == 0 {
-                assert_eq!(got, 0, "truncated record");
-                return n;
-            }
-            got += r;
-        }
-        let pc = u64::from_le_bytes(buf[0..8].try_into().expect("slice is 8 bytes"));
-        let target = u64::from_le_bytes(buf[8..16].try_into().expect("slice is 8 bytes"));
-        let kind = fe_trace::BranchKind::from_u8(buf[16]).expect("valid kind byte");
-        let taken = match buf[17] {
-            0 => false,
-            1 => true,
-            other => panic!("invalid taken flag {other}"),
-        };
-        std::hint::black_box(fe_trace::BranchRecord::new(pc, kind, taken, target));
-        n += 1;
-    }
-}
-
-/// Encode `specs` into an in-memory verified corpus, returning the
-/// corpus and the encode wall-time in milliseconds.
-fn build_shared_corpus(specs: &[WorkloadSpec]) -> (fe_trace::corpus::Corpus, f64) {
-    // lint:allow(render-purity): encode wall-time is part of the suite-bench report itself
-    let t0 = Instant::now();
-    let mut builder = fe_trace::corpus::CorpusBuilder::new();
-    for spec in specs {
-        builder
-            .push_synthetic(&spec.generate())
-            .expect("encode suite corpus");
-    }
-    let corpus = fe_trace::corpus::Corpus::from_bytes(builder.finish()).expect("verified corpus");
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    (corpus, build_ms)
-}
-
-/// The wide-sweep demonstration: the 8 paper I-cache geometries crossed
-/// with 8 BTB sizes (including the paper's 4K-entry supplement point) —
-/// 64 distinct front-end geometries — replayed in full and phase-sampled,
-/// reporting the wall-clock ratio and the worst relative drift of the
-/// per-geometry suite means (denominator floored at 1 MPKI, matching
-/// `lab_sampled_fidelity`).
-fn sampled_sweep_section(
-    specs: &[WorkloadSpec],
-    cfg: &SimConfig,
-    shared: &fe_trace::corpus::SuiteCorpus,
-    threads: usize,
-    out: &mut ExperimentOutput,
-) -> serde_json::Value {
-    const BTB_POINTS: [u32; 8] = [256, 512, 1024, 2048, 4096, 8192, 16384, 32768];
-    let geoms = sweep::paper_geometries();
-    let pols = [PolicyKind::Lru, PolicyKind::Ghrp];
-    let params = SampleParams {
-        windows: 32,
-        k: 4,
-        warmup: 2048,
-    };
-    let source = fe_experiment::SuiteSource::Corpus(shared);
-
-    // lint:allow(render-purity): full-vs-sampled wall-clock is the quantity this section reports
-    let t0 = Instant::now();
-    let full: Vec<sweep::SweepResult> = BTB_POINTS
-        .iter()
-        .map(|&entries| {
-            let mut base = *cfg;
-            base.btb_entries = entries;
-            run_sweep_with(specs, &base, &pols, &geoms, threads, source, true)
-        })
-        .collect();
-    let full_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let t1 = Instant::now();
-    let (mut replayed, mut total) = (0u64, 0u64);
-    let sampled: Vec<sweep::SweepResult> = BTB_POINTS
-        .iter()
-        .map(|&entries| {
-            let mut base = *cfg;
-            base.btb_entries = entries;
-            let (r, info) =
-                run_sweep_sampled(specs, &base, &pols, &geoms, threads, shared, &params, true);
-            replayed += info.replayed_instructions;
-            total += info.total_instructions;
-            r
-        })
-        .collect();
-    let sampled_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    let mut max_drift_icache = 0.0f64;
-    let mut max_drift_btb = 0.0f64;
-    for (f, s) in full.iter().zip(&sampled) {
-        for (fp, sp) in f.points.iter().zip(&s.points) {
-            for (fm, sm) in fp.icache_means.iter().zip(&sp.icache_means) {
-                max_drift_icache = max_drift_icache.max((sm - fm).abs() / fm.max(1.0));
-            }
-            for (fm, sm) in fp.btb_means.iter().zip(&sp.btb_means) {
-                max_drift_btb = max_drift_btb.max((sm - fm).abs() / fm.max(1.0));
-            }
-        }
-    }
-    let ngeoms = BTB_POINTS.len() * geoms.len();
-    let speedup = if sampled_ms > 0.0 {
-        (full_ms / sampled_ms * 100.0).round() / 100.0
-    } else {
-        0.0
-    };
-    let replayed_fraction = if total > 0 {
-        (replayed as f64 / total as f64 * 10000.0).round() / 10000.0
-    } else {
-        0.0
-    };
-    let _ = writeln!(
-        out.stdout,
-        "sampled_sweep ({ngeoms} geometries = {} icache x {} btb, {params}): full {full_ms:.2} ms, \
-         sampled {sampled_ms:.2} ms ({speedup}x, {replayed_fraction} of instructions replayed), \
-         max drift icache {max_drift_icache:.4} btb {max_drift_btb:.4}",
-        geoms.len(),
-        BTB_POINTS.len(),
-    );
-    serde_json::json!({
-        "geometries": ngeoms,
-        "icache_points": geoms.len(),
-        "btb_entry_points": BTB_POINTS.to_vec(),
-        "policies": pols.len(),
-        "params": params.to_string(),
-        "full_wall_ms": (full_ms * 1000.0).round() / 1000.0,
-        "sampled_wall_ms": (sampled_ms * 1000.0).round() / 1000.0,
-        "speedup": speedup,
-        "replayed_fraction": replayed_fraction,
-        "max_rel_drift_icache": (max_drift_icache * 10000.0).round() / 10000.0,
-        "max_rel_drift_btb": (max_drift_btb * 10000.0).round() / 10000.0,
-    })
-}
-
-/// Measure the decode-throughput ladder over `shared` — zero-copy
-/// cursor drain (decode-only), fetch-chunk reconstruction on top, the
-/// block-buffered FETR reader, and the faithful pre-corpus per-record
-/// FETR loop — print the one-line summary, and return the `corpus`
-/// JSON section.
-fn corpus_decode_section(
-    shared: &fe_trace::corpus::SuiteCorpus,
-    records: u64,
-    block: u64,
-    build_ms: f64,
-    file_bytes: usize,
-    reps: usize,
-    out: &mut ExperimentOutput,
-) -> serde_json::Value {
-    let decode_t = time_min(reps, || {
-        let mut n = 0u64;
-        for trace in shared {
-            // `for_each` takes the cursor's chunk-free fold path.
-            trace.cursor().for_each(|rec| {
-                std::hint::black_box(&rec);
-                n += 1;
-            });
-        }
-        (SchedulerStats::default(), n)
-    });
-    let fetch_t = time_min(reps, || {
-        let mut n = 0u64;
-        for trace in shared {
-            for chunk in FetchStream::from_corpus(trace, block) {
-                std::hint::black_box(&chunk);
-                n += 1;
-            }
-        }
-        (SchedulerStats::default(), n)
-    });
-    let fetr_blobs: Vec<Vec<u8>> = shared
-        .iter()
-        .map(|trace| {
-            let records: Vec<fe_trace::BranchRecord> = trace.cursor().collect();
-            let mut blob = Vec::new();
-            fe_trace::io::write_binary(&mut blob, &records).expect("encode FETR");
-            blob
-        })
-        .collect();
-    let fetr_block_t = time_min(reps, || {
-        let mut n = 0u64;
-        for blob in &fetr_blobs {
-            let reader = fe_trace::io::TraceReader::new(blob.as_slice()).expect("FETR header");
-            for rec in reader {
-                std::hint::black_box(&rec.expect("valid FETR stream"));
-                n += 1;
-            }
-        }
-        (SchedulerStats::default(), n)
-    });
-    let fetr_record_t = time_min(reps, || {
-        let n: u64 = fetr_blobs.iter().map(|b| fetr_per_record_decode(b)).sum();
-        (SchedulerStats::default(), n)
-    });
-    let decode_rate = mrec_per_sec(records, decode_t.wall_ms);
-    let fetch_rate = mrec_per_sec(records, fetch_t.wall_ms);
-    let fetr_block_rate = mrec_per_sec(records, fetr_block_t.wall_ms);
-    let fetr_record_rate = mrec_per_sec(records, fetr_record_t.wall_ms);
-    let decode_speedup = if fetr_record_rate > 0.0 {
-        ((decode_rate / fetr_record_rate) * 100.0).round() / 100.0
-    } else {
-        0.0
-    };
-    let _ = writeln!(
-        out.stdout,
-        "corpus decode: {decode_rate:.1} Mrec/s decode-only, {fetch_rate:.1} Mrec/s with fetch, \
-         {fetr_block_rate:.1} Mrec/s FETR block, {fetr_record_rate:.1} Mrec/s FETR per-record \
-         ({decode_speedup:.2}x columnar speedup)",
-    );
-    serde_json::json!({
-        "build_ms": (build_ms * 1000.0).round() / 1000.0,
-        "bytes": file_bytes,
-        "records": records,
-        "decode_mrec_per_sec": decode_rate,
-        "decode_fetch_mrec_per_sec": fetch_rate,
-        "fetr_block_mrec_per_sec": fetr_block_rate,
-        "fetr_per_record_mrec_per_sec": fetr_record_rate,
-        "decode_speedup_vs_fetr": decode_speedup,
-    })
-}
-
-/// One baseline comparison block: the recorded suite/sweep wall-times
-/// and the speedups of this run against them.
-fn baseline_json(
-    suite_ms: f64,
-    sweep_ms: f64,
-    suite_t: &Timed,
-    sweep_t: &Timed,
-) -> serde_json::Value {
-    serde_json::json!({
-        "suite_wall_ms": suite_ms,
-        "sweep_wall_ms": sweep_ms,
-        "suite_speedup": (suite_ms / suite_t.wall_ms * 100.0).round() / 100.0,
-        "sweep_speedup": (sweep_ms / sweep_t.wall_ms * 100.0).round() / 100.0,
-    })
-}
-
-/// One timed section: minimum wall-clock over `reps` runs plus the
-/// scheduler counters from the fastest run.
-struct Timed {
-    wall_ms: f64,
-    sched: SchedulerStats,
-}
-
-fn time_min<R>(reps: usize, mut run: impl FnMut() -> (SchedulerStats, R)) -> Timed {
-    let mut best: Option<Timed> = None;
-    for _ in 0..reps.max(1) {
-        // lint:allow(render-purity): best-of-N wall-clock is the suite-bench lab's measured output
-        let t0 = Instant::now();
-        let (sched, _keep_alive) = run();
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        if best.as_ref().is_none_or(|b| wall_ms < b.wall_ms) {
-            best = Some(Timed { wall_ms, sched });
-        }
-    }
-    best.expect("reps >= 1")
-}
-
-fn section_json(t: &Timed) -> serde_json::Value {
-    let tasks = t.sched.tasks as f64;
-    let tasks_per_sec = if t.wall_ms > 0.0 {
-        tasks / (t.wall_ms / 1e3)
-    } else {
-        0.0
-    };
-    serde_json::json!({
-        "wall_ms": (t.wall_ms * 1000.0).round() / 1000.0,
-        "tasks": t.sched.tasks,
-        "tasks_per_sec": tasks_per_sec.round(),
-        "strategy": t.sched.strategy,
-        "workers": t.sched.workers,
-        "tasks_per_worker": t.sched.per_worker.iter().map(|w| w.tasks).collect::<Vec<_>>(),
-        "steals": t.sched.steals,
-        "utilization": (t.sched.utilization() * 1000.0).round() / 1000.0,
-    })
-}
-
-fn short_git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map_or_else(
-            || "unknown".to_owned(),
-            |o| String::from_utf8_lossy(&o.stdout).trim().to_owned(),
-        )
-}
-
-impl Experiment for SuiteBench {
-    fn name(&self) -> &'static str {
-        "suite_bench"
-    }
-    fn paper_ref(&self) -> &'static str {
-        "lab"
-    }
-    fn requirements(&self, _ctx: &RunContext) -> Vec<SimRequest> {
-        Vec::new() // timing harness: must re-run, never share
-    }
-    // Long render: three timed sections plus JSON assembly, each a short block.
-    #[allow(clippy::too_many_lines)]
-    // lint:allow(render-purity): suite-bench is a wall-clock benchmark; the scheduler timing counters it reports are the point
-    fn render(&self, rctx: &RenderCtx<'_>) -> ExperimentOutput {
-        let ctx = rctx.ctx;
-        let reps = ctx.reps.unwrap_or(3);
-        let threads = ctx.threads();
-        let instr = ctx.instr.unwrap_or(400_000);
-        let specs: Vec<WorkloadSpec> = fe_trace::synth::suite(ctx.traces.unwrap_or(4), ctx.seed())
-            .into_iter()
-            .map(|s| s.instructions(instr))
-            .collect();
-        let cfg = SimConfig::paper_default();
-        let geoms = sweep::paper_geometries();
-        let mut out = ExperimentOutput::default();
-
-        let _ = writeln!(
-            out.stdout,
-            "suite_bench: {} workloads x {} instr, threads={}, reps={reps}",
-            specs.len(),
-            instr,
-            threads,
-        );
-
-        // Encode the mini-suite into an in-memory SoA corpus once; the
-        // timed sections replay it from the shared buffer, mirroring
-        // what `report run` does via the on-disk cache.
-        let (corpus, build_ms) = build_shared_corpus(&specs);
-        let shared = fe_trace::corpus::SuiteCorpus::from_corpus(&corpus);
-        let corpus_records = shared.total_records();
-        let _ = writeln!(
-            out.stdout,
-            "corpus build ({} traces, {} records, {} bytes): {:>7.2} ms",
-            shared.len(),
-            corpus_records,
-            corpus.file_bytes(),
-            build_ms,
-        );
-
-        let source = fe_experiment::SuiteSource::Corpus(&shared);
-        let suite_t = time_min(reps, || {
-            let r = fe_experiment::run_suite_from(&specs, &cfg, SEVEN, threads, source);
-            (r.scheduler.clone(), r)
-        });
-        let _ = writeln!(
-            out.stdout,
-            "run_suite   ({} workloads x {} policies):  {:>9.2} ms  [{} tasks, {} steals, util {:.2}]",
-            specs.len(),
-            SEVEN.len(),
-            suite_t.wall_ms,
-            suite_t.sched.tasks,
-            suite_t.sched.steals,
-            suite_t.sched.utilization(),
-        );
-
-        let sweep_t = time_min(reps, || {
-            let r = run_sweep_with(
-                &specs,
-                &cfg,
-                PolicyKind::PAPER_SET,
-                &geoms,
-                threads,
-                source,
-                false,
-            );
-            (r.scheduler.clone(), r)
-        });
-        let _ = writeln!(
-            out.stdout,
-            "run_sweep   ({} workloads x {} geometries): {:>8.2} ms  [{} tasks, {} steals, util {:.2}]",
-            specs.len(),
-            geoms.len(),
-            sweep_t.wall_ms,
-            sweep_t.sched.tasks,
-            sweep_t.sched.steals,
-            sweep_t.sched.utilization(),
-        );
-
-        // Multi-threaded suite section: same workload x policy grid on
-        // every available core, so the trajectory tracks scaling too.
-        let mt_threads = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let suite_mt_t = time_min(reps, || {
-            let r = fe_experiment::run_suite_from(&specs, &cfg, SEVEN, mt_threads, source);
-            (r.scheduler.clone(), r)
-        });
-        let _ = writeln!(
-            out.stdout,
-            "run_suite_mt ({} workloads x {} policies, threads={mt_threads}): {:>8.2} ms  [{} tasks, {} steals, util {:.2}]",
-            specs.len(),
-            SEVEN.len(),
-            suite_mt_t.wall_ms,
-            suite_mt_t.sched.tasks,
-            suite_mt_t.sched.steals,
-            suite_mt_t.sched.utilization(),
-        );
-
-        let sampled_sweep_json = sampled_sweep_section(&specs, &cfg, &shared, threads, &mut out);
-
-        let corpus_json = corpus_decode_section(
-            &shared,
-            corpus_records,
-            cfg.icache.block_bytes(),
-            build_ms,
-            corpus.file_bytes(),
-            reps,
-            &mut out,
-        );
-        let mut json = serde_json::json!({
-            "schema": "bench-suite-v1",
-            "git_rev": short_git_rev(),
-            "threads": threads,
-            "workloads": specs.len(),
-            "instructions_per_workload": instr,
-            "reps": reps,
-            "suite": section_json(&suite_t),
-            "suite_mt": section_json(&suite_mt_t),
-            "sweep": section_json(&sweep_t),
-            "sampled_sweep": sampled_sweep_json,
-            "corpus": corpus_json,
-        });
-        if specs.len() == 4 && instr == 400_000 && threads == 1 {
-            if let serde_json::Value::Object(fields) = &mut json {
-                fields.push((
-                    "baseline_pr3".to_owned(),
-                    baseline_json(BASE_SUITE_MS, BASE_SWEEP_MS, &suite_t, &sweep_t),
-                ));
-                fields.push((
-                    "baseline_pr6".to_owned(),
-                    baseline_json(PR6_SUITE_MS, PR6_SWEEP_MS, &suite_t, &sweep_t),
-                ));
-            }
-        }
-        let mut pretty = serde_json::to_string_pretty(&json).expect("serialize BENCH_suite.json");
-        pretty.push('\n');
-        out.artifacts.push(("BENCH_suite.json".to_owned(), pretty));
         out
     }
 }

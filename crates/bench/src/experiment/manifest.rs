@@ -30,7 +30,8 @@ pub struct RecordArgs {
     pub seed: u64,
     /// Per-trace instruction override, if any.
     pub instr: Option<u64>,
-    /// Timing repetitions, if the experiment times anything.
+    /// Always `None`: no experiment times anything. Kept so existing
+    /// records, which all carry `"reps": null`, keep their shape.
     pub reps: Option<usize>,
 }
 

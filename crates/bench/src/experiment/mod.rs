@@ -52,8 +52,8 @@ pub trait Experiment {
     /// Paper anchor (`"Fig. 7"`, `"Table I"`, `"lab"`, …).
     fn paper_ref(&self) -> &'static str;
     /// The simulations this experiment needs, for the dedup planner.
-    /// Experiments that drive the simulator directly (single-trace labs,
-    /// timing harnesses) return an empty list and work inside `render`.
+    /// Experiments that drive the simulator directly (single-trace labs)
+    /// return an empty list and work inside `render`.
     fn requirements(&self, ctx: &RunContext) -> Vec<SimRequest>;
     /// Produce the experiment's output from the planned simulations.
     fn render(&self, rctx: &RenderCtx<'_>) -> ExperimentOutput;
@@ -93,7 +93,7 @@ pub const REPORT_USAGE: &str = "usage: report <subcommand> [flags]\n\
   report corpus <build|info|verify> [flags]  manage the trace corpus cache\n\
   report diff <old> <new>       compare two MANIFEST.json files\n\
   report validate <manifest>    schema-check a MANIFEST.json\n\
-  flags: [--traces N] [--seed S] [--threads T] [--instr N] [--reps R] [--out DIR]\n\
+  flags: [--traces N] [--seed S] [--threads T] [--instr N] [--out DIR]\n\
          [--sampled[=WINDOWS,K,WARMUP]]  phase-sampled replay for geometry sweeps";
 
 /// Run a set of experiments: plan, simulate once per unique request,
@@ -157,22 +157,6 @@ pub fn run_experiments(names: &[String], parsed: &ParsedArgs) -> Result<(), Stri
             write_file(&out_dir, name, contents)?;
             println!("[wrote {}]", out_dir.join(name).display());
             artifact_names.push(name.clone());
-            // Trajectory artifacts (`BENCH_*.json`) get a second copy one
-            // level above the out directory — for the default
-            // `--out results` that is the repository root, where the
-            // top-level `BENCH_*.json` trajectory tooling looks. Not
-            // listed in the record: artifacts there are out-dir-relative.
-            let is_json = Path::new(name)
-                .extension()
-                .is_some_and(|ext| ext.eq_ignore_ascii_case("json"));
-            if name.starts_with("BENCH_") && is_json {
-                let top = match out_dir.parent() {
-                    Some(p) if !p.as_os_str().is_empty() => p,
-                    _ => Path::new("."),
-                };
-                write_file(top, name, contents)?;
-                println!("[wrote {}]", top.join(name).display());
-            }
         }
 
         let checks = shape::eval_all(&output.assertions, &output.metrics);
@@ -189,7 +173,7 @@ pub fn run_experiments(names: &[String], parsed: &ParsedArgs) -> Result<(), Stri
                 traces: ctx.traces(),
                 seed: ctx.seed(),
                 instr: ctx.instr,
-                reps: ctx.reps,
+                reps: None,
             },
             metrics: output.metrics,
             checks,

@@ -19,7 +19,7 @@ pub enum Kind {
     Paper,
     /// Ablation or extension beyond the paper's headline claims.
     Ablation,
-    /// Lab notebook: calibration, debugging, or timing harness.
+    /// Lab notebook: a calibration or debugging study.
     Lab,
 }
 
@@ -179,12 +179,6 @@ pub const ALL: &[ExperimentInfo] = &[
         build: || Box::new(lab::Diag),
     },
     ExperimentInfo {
-        name: "engine_profile",
-        kind: Kind::Lab,
-        summary: "wall-clock breakdown of the single-pass engine",
-        build: || Box::new(lab::EngineProfile),
-    },
-    ExperimentInfo {
         name: "ghrp_debug",
         kind: Kind::Lab,
         summary: "GHRP internal counters on one server trace",
@@ -219,12 +213,6 @@ pub const ALL: &[ExperimentInfo] = &[
         kind: Kind::Lab,
         summary: "GHRP-vs-LRU gap versus trace length",
         build: || Box::new(lab::ScaleTest),
-    },
-    ExperimentInfo {
-        name: "suite_bench",
-        kind: Kind::Lab,
-        summary: "suite/sweep throughput benchmark (BENCH_suite.json)",
-        build: || Box::new(lab::SuiteBench),
     },
     ExperimentInfo {
         name: "tune_ghrp",
@@ -292,9 +280,9 @@ mod tests {
 
     #[test]
     fn registry_has_all_legacy_binaries() {
-        assert_eq!(ALL.len(), 30);
+        assert_eq!(ALL.len(), 28);
         assert_eq!(ALL.iter().filter(|i| i.kind == Kind::Paper).count(), 10);
         assert_eq!(ALL.iter().filter(|i| i.kind == Kind::Ablation).count(), 9);
-        assert_eq!(ALL.iter().filter(|i| i.kind == Kind::Lab).count(), 11);
+        assert_eq!(ALL.iter().filter(|i| i.kind == Kind::Lab).count(), 9);
     }
 }

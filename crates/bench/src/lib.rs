@@ -4,12 +4,12 @@
 //! [`experiment`] registry (see `DESIGN.md` §11): each is an
 //! [`experiment::Experiment`] that declares the simulations it needs and
 //! renders its output from the deduplicated results. The `report` binary
-//! drives the registry (`report run <name…> | --all | list | diff |
-//! validate`); the historical per-figure binaries remain as thin
-//! dispatches with byte-identical stdout.
+//! is the only binary and drives the registry (`report run <name…> |
+//! --all | list | corpus | diff | validate`).
 //!
-//! The `benches/` directory holds criterion microbenchmarks of the
-//! simulator's hot paths.
+//! Nothing here measures time: the registry's records are deterministic
+//! so two runs compare byte for byte. Wall-clock and per-layer costs come
+//! from the separate `perfbench/` package (see `perfbench/METRICS.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -69,8 +69,9 @@ pub struct SchedulerStats {
     pub workers: usize,
     /// Total tasks in the grid.
     pub tasks: u64,
-    /// Always 0: the scheduler no longer steals. Kept so reports that
-    /// read it stay stable.
+    /// Always 0: the scheduler no longer steals. Its only reader is the
+    /// `perfbench/` ledger metric `schedule.steals`; it goes when that
+    /// metric does.
     pub steals: u64,
     /// Wall-clock nanoseconds for the whole drain.
     pub wall_ns: u64,
